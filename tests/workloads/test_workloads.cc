@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "workloads/coremark.hh"
 #include "workloads/iozone.hh"
 #include "workloads/kbuild.hh"
@@ -141,6 +143,79 @@ TEST(NetPipe, SriovBeatsVirtio)
     ASSERT_EQ(sriov.completed, 15);
     EXPECT_LT(sriov.latencyUs, virtio.latencyUs);
     EXPECT_GT(sriov.throughputGbps, virtio.throughputGbps);
+}
+
+TEST(NetPipe, VirtioTimingPinnedToTheTick)
+{
+    // Exact timing of the emulated virtio NIC in both modes. A 64 KiB
+    // message is 46 back-to-back sends per iteration, so the EVENT_IDX
+    // kick rule, NAPI coalescing and the I/O thread all show up in
+    // the exit, injection and tick counts below. Any change to the
+    // device model that is meant to be behaviour-neutral must keep
+    // every number.
+    struct Pin {
+        int completed;
+        long long rttTicks; ///< mean round trip, rounded to the tick
+        Tick doneAt;        ///< when the VM shut down
+        std::uint64_t mmioExits;
+        std::uint64_t injections;
+    };
+    auto run = [](RunMode mode) {
+        Testbed::Config cfg;
+        cfg.numCores = 4;
+        cfg.mode = mode;
+        Testbed bed(cfg);
+        VmInstance& vm = bed.createVm("np", 2);
+        bed.addVirtioNet(vm);
+        VirtioGuestNic nic(*vm.vnet);
+        RemoteHost remote(bed.sim(), bed.fabric(),
+                          bed.machine().costs().remoteStack);
+        NetPipeResponder responder(remote);
+        NetPipe::Config ncfg;
+        ncfg.messageBytes = 64 * 1024;
+        ncfg.warmup = 1;
+        ncfg.iterations = 4;
+        NetPipe np(bed, vm, nic, remote, ncfg);
+        np.install();
+        // The VM shuts down once every vCPU has: spare vCPUs (shared
+        // mode has two) stop at once, the NetPipe vCPU when it is done.
+        struct Procs {
+            static sim::Proc<void>
+            idle(Testbed& bed, guest::VCpu& v)
+            {
+                co_await bed.started().wait();
+                co_await v.shutdown();
+            }
+            static sim::Proc<void>
+            watch(Testbed& bed, VmInstance& vm, Tick& at)
+            {
+                co_await vm.kvm->shutdownGate().wait();
+                at = bed.sim().now();
+            }
+        };
+        for (int i = 1; i < vm.numVcpus(); ++i)
+            vm.vcpu(i).startGuest("idle", Procs::idle(bed, vm.vcpu(i)));
+        Tick done_at = 0;
+        bed.sim().spawn("watch", Procs::watch(bed, vm, done_at));
+        bed.spawnStart();
+        bed.run(2 * sim::sec);
+        const NetPipe::Result r = np.result();
+        return Pin{r.completed, std::llround(r.rttMeanUs * 1e6), done_at,
+                   vm.kvm->stats().mmioExits.value(),
+                   vm.kvm->stats().injections.value()};
+    };
+    const Pin shared = run(RunMode::SharedCore);
+    const Pin gapped = run(RunMode::CoreGapped);
+    EXPECT_EQ(shared.completed, 4);
+    EXPECT_EQ(shared.rttTicks, 292362076);
+    EXPECT_EQ(shared.doneAt, 1463152790u);
+    EXPECT_EQ(shared.mmioExits, 227u);
+    EXPECT_EQ(shared.injections, 5u);
+    EXPECT_EQ(gapped.completed, 4);
+    EXPECT_EQ(gapped.rttTicks, 774921044);
+    EXPECT_EQ(gapped.doneAt, 7790030237u);
+    EXPECT_EQ(gapped.mmioExits, 115u);
+    EXPECT_EQ(gapped.injections, 5u);
 }
 
 TEST(NetPipe, LargerMessagesHigherThroughput)
