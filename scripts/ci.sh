@@ -22,13 +22,18 @@
 #                   produce a leak edge, proving the checker can
 #                   actually fail a run (a checker that cannot fire is
 #                   worse than none)
-#   5. perf:   tools/perf-gate -- build Release and compare
+#   5. digests: byte-identity gate -- corgi-bench's phase digests at
+#              seed 1 (a hash of every simulated output of its
+#              workloads, ~30 s) must equal corgi-bench/golden_digests.txt,
+#              so a change meant to be behaviour-neutral that drifts any
+#              output fails here
+#   6. perf:   tools/perf-gate -- build Release and compare
 #              sim_microbench events/sec against the committed
 #              BENCH_PR<N>.json baseline; >10% regression fails. The
 #              gate skips itself (warning, exit 0) on non-Release or
 #              sanitizer builds, where throughput is meaningless.
-#   6. sanitize: rebuild under ASan+UBSan and run the whole suite
-#   7. tsan:   rebuild under ThreadSanitizer and run the threaded
+#   7. sanitize: rebuild under ASan+UBSan and run the whole suite
+#   8. tsan:   rebuild under ThreadSanitizer and run the threaded
 #              suites (ParallelRunner sweeps) with scripts/tsan.supp
 #
 # Usage: scripts/ci.sh [--skip-sanitize] [--skip-tsan] [--skip-perf]
@@ -52,15 +57,15 @@ for arg in "$@"; do
     esac
 done
 
-echo "==> [1/7] lint (cg-analyze + clang-tidy when available)"
+echo "==> [1/8] lint (cg-analyze + clang-tidy when available)"
 scripts/lint.sh
 
-echo "==> [2/7] tier-1 build + test"
+echo "==> [2/8] tier-1 build + test"
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "==> [3/7] chaos gate (fault injection + recovery)"
+echo "==> [3/8] chaos gate (fault injection + recovery)"
 ctest --test-dir build --output-on-failure -R '[Cc]haos|FaultPlan'
 echo "  --> serving-path open-loop smoke (redundant with step 2, but"
 echo "      named so a serving-path regression is visible in CI output)"
@@ -73,7 +78,7 @@ build/bench/ext_soak_churn --quick --check > build/soak_replay_a.txt
 build/bench/ext_soak_churn --quick --check > build/soak_replay_b.txt
 diff build/soak_replay_a.txt build/soak_replay_b.txt
 
-echo "==> [4/7] isolation-checker gate"
+echo "==> [4/8] isolation-checker gate"
 echo "  --> --check smoke + replay determinism (fig7)"
 build/bench/fig7_multi_vm --check > build/check_fig7_a.txt
 build/bench/fig7_multi_vm --check > build/check_fig7_b.txt
@@ -81,26 +86,30 @@ diff build/check_fig7_a.txt build/check_fig7_b.txt
 echo "  --> must-fire: seeded scrub-skip fault raises a leak edge"
 ctest --test-dir build --output-on-failure -R 'CheckMustFire'
 
+echo "==> [5/8] byte-identity gate (corgi-bench digests, seed 1)"
+python3 corgi-bench/run.py --digests --seed 1 > build/digests_seed1.txt
+grep -v '^#' corgi-bench/golden_digests.txt | diff - build/digests_seed1.txt
+
 if [ "$SKIP_PERF" = 1 ]; then
-    echo "==> [5/7] perf gate: skipped (--skip-perf)"
+    echo "==> [6/8] perf gate: skipped (--skip-perf)"
 else
-    echo "==> [5/7] perf gate (sim_microbench vs committed baseline)"
+    echo "==> [6/8] perf gate (sim_microbench vs committed baseline)"
     cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
     cmake --build build-release -j "$(nproc)"
     tools/perf-gate --build-dir build-release
 fi
 
 if [ "$SKIP_SANITIZE" = 1 ]; then
-    echo "==> [6/7] sanitize: skipped (--skip-sanitize)"
+    echo "==> [7/8] sanitize: skipped (--skip-sanitize)"
 else
-    echo "==> [6/7] sanitize build + test"
+    echo "==> [7/8] sanitize build + test"
     scripts/sanitize.sh
 fi
 
 if [ "$SKIP_TSAN" = 1 ]; then
-    echo "==> [7/7] tsan: skipped (--skip-tsan)"
+    echo "==> [8/8] tsan: skipped (--skip-tsan)"
 else
-    echo "==> [7/7] tsan build + threaded suites"
+    echo "==> [8/8] tsan build + threaded suites"
     scripts/sanitize.sh --tsan -R 'Parallel|Sweep|Request'
 fi
 

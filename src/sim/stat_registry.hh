@@ -73,7 +73,7 @@ class StatRegistry
      * comparisons, which is fine at dump time and poison inside event
      * callbacks. Code that reads a stat repeatedly must call find()
      * once (at construction / bind time) and keep the StatRef; the
-     * stat-handle lint rule (tools/cg-lint) flags lookups that remain
+     * stat-handle lint rule (tools/cg-analyze) flags lookups that remain
      * inside callback bodies. The handle is invalidated by remove()/
      * removePrefix() of its name — the same lifetime contract as the
      * underlying stat object.

@@ -1,21 +1,17 @@
 /**
  * @file
- * Virtio device emulation: the exit-intensive I/O path of figs. 8/9.
+ * Virtio block device emulation (the exit-intensive disk path of fig.
+ * 9) and the MMIO layout every virtio device shares. The network
+ * device is vmm::MqVirtioNet (vmm/virtio_mq.hh).
  *
- * Each device is a pair of halves:
+ * The device is a pair of halves:
  *  - a guest-side driver API (called from guest processes): builds
  *    descriptors, pays guest-kernel stack costs, and *kicks* the device
  *    through a trapped MMIO doorbell write — the VM exit whose cost
  *    differs between shared-core and core-gapped configurations;
  *  - a host-side emulation thread (a VMM I/O thread contending for
- *    host CPU): pops descriptors, pays copy costs, talks to the
- *    backend (network fabric / disk), and injects completion IRQs.
- *
- * Kick suppression mirrors virtio's EVENT_IDX: the device publishes an
- * armed flag (KickGate) before sleeping and disarms it while draining;
- * the guest only pays for the trapped doorbell while the flag is
- * visible. The publish has cache-line timing, so the device re-checks
- * the ring once the flag lands (the lost-kick window close).
+ *    host CPU): pops descriptors, pays copy costs, talks to the disk,
+ *    and injects completion IRQs.
  */
 
 #ifndef CG_VMM_VIRTIO_HH
@@ -25,89 +21,22 @@
 #include <map>
 
 #include "vmm/disk.hh"
-#include "vmm/kick.hh"
 #include "vmm/kvm.hh"
-#include "vmm/netfabric.hh"
 
 namespace cg::vmm {
 
-/** Default MMIO window assignments (one page per device). */
-constexpr std::uint64_t virtioNetMmioBase = 0x0a000000;
+/** Default MMIO window of the block device (one page). */
 constexpr std::uint64_t virtioBlkMmioBase = 0x0a001000;
+/** Doorbell register offset inside a device's MMIO page. */
 constexpr std::uint64_t virtioKickOffset = 0x50;
 
-/** Emulated virtio network interface. */
-class VirtioNet
+/** Time to copy @p bytes at @p bytes_per_sec bandwidth. */
+inline sim::Tick
+copyCost(std::uint64_t bytes, double bytes_per_sec)
 {
-  public:
-    struct Config {
-        std::uint64_t mmioBase = virtioNetMmioBase;
-        hw::IntId irq = 40;   ///< completion/RX virtual interrupt
-        int irqVcpu = 0;      ///< vCPU receiving device interrupts
-        host::CpuMask ioThreadAffinity = host::CpuMask::all();
-        /** How long the EVENT_IDX armed flag takes to become guest-
-         * visible; 0 = the machine's cacheLineTransfer cost. Tests
-         * crank this up to widen the lost-kick window. */
-        sim::Tick eventIdxPublishDelay = 0;
-    };
-
-    VirtioNet(KvmVm& vm, NetworkFabric& fabric, Config cfg);
-    ~VirtioNet();
-
-    /** This NIC's port on the fabric. */
-    int port() const { return port_; }
-
-    /** @{ Guest driver API (call from guest processes). */
-    /** Transmit a packet; returns once handed to the device ring. */
-    sim::Proc<void> guestSend(guest::VCpu& v, std::uint64_t bytes,
-                              int dst_port, std::uint64_t cookie = 0);
-
-    /** Receive the next packet (blocks the guest process). */
-    sim::Proc<Packet> guestRecv(guest::VCpu& v);
-    /** @} */
-
-    std::uint64_t txPackets() const { return txPackets_; }
-    std::uint64_t rxPackets() const { return rxPackets_; }
-
-    /** Kicks suppressed because the device was already draining. */
-    std::uint64_t kicksSuppressed() const { return kicksSuppressed_; }
-    /** Descriptors rescued by the recheck-after-publish (each one is
-     * a lost-kick stall that did not happen). */
-    std::uint64_t kickRescues() const { return kickRescues_; }
-
-  private:
-    struct TxReq {
-        std::uint64_t bytes;
-        int dstPort;
-        std::uint64_t cookie;
-    };
-
-    sim::Proc<void> ioThreadBody();
-    void onKick();
-    void onFabricRx(const Packet& pkt);
-    void onGuestIrq();
-    void recheckAfterPublish();
-    sim::Tick publishDelay() const;
-
-    KvmVm& vm_;
-    NetworkFabric& fabric_;
-    Config cfg_;
-    int port_;
-    std::deque<TxReq> txRing_;
-    std::deque<Packet> rxBacklog_; ///< arrived, awaiting VMM copy
-    std::deque<Packet> rxDone_;    ///< copied in, awaiting guest IRQ
-    /** NAPI-style coalescing of RX completion interrupts. */
-    bool irqArmed_ = true;
-    /** EVENT_IDX: guest kicks only while this gate reads armed. */
-    KickGate kickGate_;
-    std::uint64_t kicksSuppressed_ = 0;
-    std::uint64_t kickRescues_ = 0;
-    sim::Notify ioNotify_;
-    sim::Channel<Packet> guestRx_;
-    host::Thread* ioThread_ = nullptr;
-    std::uint64_t txPackets_ = 0;
-    std::uint64_t rxPackets_ = 0;
-};
+    return static_cast<sim::Tick>(static_cast<double>(bytes) /
+                                  bytes_per_sec * 1e12);
+}
 
 /** Emulated virtio block device. */
 class VirtioBlk

@@ -1,25 +1,12 @@
 #include "vmm/virtio_mq.hh"
 
 #include "sim/simulation.hh"
-#include "vmm/virtio.hh" // virtioKickOffset: shared doorbell layout
+#include "vmm/virtio.hh" // doorbell layout, copyCost
 
 namespace cg::vmm {
 
 using guest::VCpu;
 using sim::Compute;
-using sim::Tick;
-
-namespace {
-
-/** Copy cost at @p bytes_per_sec bandwidth. */
-Tick
-copyCost(std::uint64_t bytes, double bytes_per_sec)
-{
-    return static_cast<Tick>(static_cast<double>(bytes) /
-                             bytes_per_sec * 1e12);
-}
-
-} // namespace
 
 MqVirtioNet::MqVirtioNet(KvmVm& vm, NetworkFabric& fabric, Config cfg)
     : vm_(vm), fabric_(fabric), cfg_(cfg)
@@ -167,6 +154,12 @@ MqVirtioNet::flushKicks(VCpu& v, int qi)
         co_return;
     const int batch = q.unkicked;
     q.unkicked = 0;
+    // One doorbell per re-arm: descriptors already on the ring before
+    // this burst mean the device was told (it drains to empty before
+    // re-arming).
+    if (cfg_.kickOncePerArm &&
+        q.txRing.size() > static_cast<std::size_t>(batch))
+        co_return;
     q.kickBatch_.sample(static_cast<double>(batch));
     sim().tracer().instant("mq-kick-flush", sim::Tracer::domainsPid, 0,
                            "batch",

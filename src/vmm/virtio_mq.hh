@@ -1,7 +1,8 @@
 /**
  * @file
- * Multi-queue virtio-net and its IPU-offloaded sibling: the serving
- * path of the open-loop latency sweeps (DESIGN.md section 11).
+ * Virtio-net, multi-queue, with an IPU-offloaded backend: the serving
+ * path of the open-loop latency sweeps (DESIGN.md section 11) and, as
+ * one trapped queue that kicks once per re-arm, fig. 8's emulated NIC.
  *
  * One device carries @c numQueues independent TX/RX queue pairs. Each
  * queue has its own doorbell (one MMIO word per queue inside the
@@ -41,8 +42,8 @@
 
 namespace cg::vmm {
 
-/** Default MMIO window for the multi-queue NIC (own page, clear of
- * the single-queue devices). */
+/** Default MMIO window for the NIC (own page, clear of the block
+ * device's). */
 constexpr std::uint64_t mqNetMmioBase = 0x0a100000;
 /** Per-queue doorbell stride inside the window: queue q kicks at
  * mmioBase + virtioKickOffset(0x50) + q * mqKickStride. */
@@ -70,6 +71,10 @@ class MqVirtioNet
         bool directRx = false;
         /** Flush the doorbell once this many sends are pending. */
         int kickBatchLimit = 8;
+        /** Skip a flush whose burst found descriptors already on the
+         * ring: one doorbell per device re-arm. Off, a flush kicks
+         * whenever the EVENT_IDX gate reads armed. */
+        bool kickOncePerArm = false;
         /** EVENT_IDX armed-flag publish latency; 0 = the machine's
          * cacheLineTransfer cost. */
         sim::Tick eventIdxPublishDelay = 0;

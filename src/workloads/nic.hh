@@ -9,7 +9,6 @@
 #define CG_WORKLOADS_NIC_HH
 
 #include "vmm/sriov.hh"
-#include "vmm/virtio.hh"
 #include "vmm/virtio_mq.hh"
 
 namespace cg::workloads {
@@ -46,30 +45,6 @@ class GuestNic
         co_return;
     }
     /** @} */
-};
-
-class VirtioGuestNic : public GuestNic
-{
-  public:
-    explicit VirtioGuestNic(vmm::VirtioNet& n) : nic_(n) {}
-
-    sim::Proc<void>
-    send(guest::VCpu& v, std::uint64_t bytes, int dst_port,
-         std::uint64_t cookie) override
-    {
-        return nic_.guestSend(v, bytes, dst_port, cookie);
-    }
-
-    sim::Proc<vmm::Packet>
-    recv(guest::VCpu& v) override
-    {
-        return nic_.guestRecv(v);
-    }
-
-    int port() const override { return nic_.port(); }
-
-  private:
-    vmm::VirtioNet& nic_;
 };
 
 class SriovGuestNic : public GuestNic
@@ -134,6 +109,10 @@ class MqGuestNic : public GuestNic
   private:
     vmm::MqVirtioNet& nic_;
 };
+
+/** The emulated virtio NIC of fig. 8 (Testbed::addVirtioNet) is a
+ * one-queue MqVirtioNet. */
+using VirtioGuestNic = MqGuestNic;
 
 } // namespace cg::workloads
 

@@ -53,7 +53,7 @@ struct VmInstance {
     std::vector<sim::CoreId> physCores;         ///< all cores accounted
     std::vector<sim::CoreId> guestCores;        ///< dedicated (gapped)
     host::CpuMask hostMask;                     ///< VMM-thread cores
-    std::unique_ptr<vmm::VirtioNet> vnet;
+    std::unique_ptr<vmm::MqVirtioNet> vnet;     ///< addVirtioNet's NIC
     std::unique_ptr<vmm::VirtioBlk> vblk;
     std::unique_ptr<vmm::SriovNic> sriov;
     std::unique_ptr<vmm::MqVirtioNet> mqnet;

@@ -9,7 +9,6 @@ Covers, per the I10 acceptance criteria:
   * a freshly seeded violation in a copy of the real tree is rejected
     (the CI-gate property),
   * the --json report matches the golden schema,
-  * the tools/cg-lint wrapper still works and stays lint-scoped,
   * the suppression baseline demands justifications and reports stale
     entries,
   * tokenizer / extractor / world-propagation unit behaviour.
@@ -28,7 +27,6 @@ import unittest
 HERE = pathlib.Path(__file__).resolve().parent
 REPO = HERE.parent.parent
 TOOL = REPO / "tools" / "cg-analyze"
-WRAPPER = REPO / "tools" / "cg-lint"
 BADTREE = HERE / "fixtures" / "badtree"
 GOLDEN_SCHEMA = HERE / "golden_report_schema.json"
 
@@ -49,10 +47,9 @@ def _load_module():
 CG = _load_module()
 
 
-def run_tool(*args, tool=TOOL):
-    # Invoke through the shebang: cg-lint is a shell wrapper, not
-    # python, so the tests must exercise the executable as CI does.
-    p = subprocess.run([str(tool), *args],
+def run_tool(*args):
+    # Invoke through the shebang, as CI does.
+    p = subprocess.run([str(TOOL), *args],
                        capture_output=True, text=True)
     return p.returncode, p.stdout, p.stderr
 
@@ -103,32 +100,6 @@ class BadTreeTest(unittest.TestCase):
                 if f["rule"] == "stat-register"]
         self.assertEqual(len(regs), 1)
         self.assertIn("dropped_", regs[0]["message"])
-
-
-class LintOnlyTest(unittest.TestCase):
-    """--lint-only / the tools/cg-lint wrapper keep the cg-lint scope."""
-
-    def test_lint_only_rule_set(self):
-        rc, report, _ = report_for("--root", str(BADTREE),
-                                   "--lint-only", "--no-baseline")
-        self.assertEqual(rc, 1)
-        rules = {f["rule"] for f in report["findings"]}
-        self.assertEqual(
-            rules, set(CG.LINT_RULES) | {"domain-discipline"})
-        # graph passes must NOT run in lint mode
-        self.assertFalse(rules & {"unchoked-scrub", "det-unordered"})
-
-    def test_wrapper_matches_lint_only(self):
-        rc_w, out_w, _ = run_tool("--root", str(BADTREE),
-                                  "--no-baseline", tool=WRAPPER)
-        rc_l, out_l, _ = run_tool("--root", str(BADTREE),
-                                  "--no-baseline", "--lint-only")
-        self.assertEqual(rc_w, 1)
-        self.assertEqual((rc_w, out_w), (rc_l, out_l))
-
-    def test_wrapper_clean_on_repo(self):
-        rc, _, err = run_tool("--root", str(REPO), "-q", tool=WRAPPER)
-        self.assertEqual(rc, 0, msg=err)
 
 
 class CleanTreeTest(unittest.TestCase):

@@ -12,6 +12,7 @@
 #include "vmm/kvm.hh"
 #include "vmm/sriov.hh"
 #include "vmm/virtio.hh"
+#include "vmm/virtio_mq.hh"
 
 namespace hw = cg::hw;
 namespace sim = cg::sim;
@@ -46,14 +47,14 @@ blkIoAndShutdown(VCpu& v, VirtioBlk& blk, int n, std::uint64_t bytes,
 }
 
 Proc<void>
-netPingAndShutdown(VCpu& v, VirtioNet& net, int peer_port, int n,
+netPingAndShutdown(VCpu& v, MqVirtioNet& net, int peer_port, int n,
                    int& echoes, Tick& last_rtt, sim::Simulation& s)
 {
     for (int i = 0; i < n; ++i) {
         const Tick t0 = s.now();
         co_await net.guestSend(v, 1500, peer_port,
                                static_cast<std::uint64_t>(i));
-        Packet reply = co_await net.guestRecv(v);
+        Packet reply = co_await net.guestRecv(v, 0);
         last_rtt = s.now() - t0;
         if (reply.cookie == static_cast<std::uint64_t>(i))
             ++echoes;
@@ -187,7 +188,12 @@ TEST_F(KvmFixture, VirtioNetEchoThroughRemotePeer)
     vcfg.numVcpus = 1;
     boot(2, vcfg, KvmConfig{});
     NetworkFabric fab(sim, NetworkFabric::Config{});
-    VirtioNet net(*kvm, fab, VirtioNet::Config{});
+    // The emulated single-queue NIC, as Testbed::addVirtioNet builds it.
+    MqVirtioNet::Config ncfg;
+    ncfg.numQueues = 1;
+    ncfg.kickBatchLimit = 1;
+    ncfg.kickOncePerArm = true;
+    MqVirtioNet net(*kvm, fab, ncfg);
     // Remote echo endpoint: bounce every packet back.
     struct Echo {
         NetworkFabric* fab;

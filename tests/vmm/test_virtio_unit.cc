@@ -28,7 +28,7 @@ using sim::usec;
 namespace {
 
 Proc<void>
-burstSend(Testbed& bed, VCpu& v, vmm::VirtioNet& net, int n,
+burstSend(Testbed& bed, VCpu& v, vmm::MqVirtioNet& net, int n,
           int dst_port)
 {
     co_await bed.started().wait();
@@ -39,11 +39,11 @@ burstSend(Testbed& bed, VCpu& v, vmm::VirtioNet& net, int n,
 }
 
 Proc<void>
-recvBurst(Testbed& bed, VCpu& v, vmm::VirtioNet& net, int n, int& got)
+recvBurst(Testbed& bed, VCpu& v, vmm::MqVirtioNet& net, int n, int& got)
 {
     co_await bed.started().wait();
     for (int i = 0; i < n; ++i) {
-        (void)co_await net.guestRecv(v);
+        (void)co_await net.guestRecv(v, 0);
         ++got;
     }
     co_await v.shutdown();
