@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -152,6 +153,13 @@ struct SitePlan {
     const char* plan;
     FaultSite site;
 };
+
+// Without this, gtest prints the raw bytes of the param (pointers and
+// padding), so the listed test names changed with every run under ASLR.
+void PrintTo(const SitePlan& sp, std::ostream* os)
+{
+    *os << sp.label;
+}
 
 class ChaosSites : public ::testing::TestWithParam<SitePlan>
 {
