@@ -255,3 +255,150 @@ TEST(Migration, DefragPolicyPicksStrictlyImprovingMoves)
     EXPECT_EQ(again, MigrateResult::Refused);
     EXPECT_EQ(planner.reservedCores(), reserved);
 }
+
+namespace {
+
+/** What a migration whose second destination core refuses to offline
+ * twice leaves behind once the guest has shut down (no teardown), for
+ * the pins below. */
+struct RefusedDestResult {
+    MigrateResult result = MigrateResult::Refused;
+    Tick doneAt = 0;
+    Tick shutdownAt = 0; // guest shutdown of both vCPUs
+    std::uint64_t hotplugRetries = 0;
+    std::uint64_t hotplugOps = 0;
+    std::uint64_t hotplugFailures = 0;
+    std::vector<CoreId> coresOf;
+    std::vector<bool> online;             // cores 1..4
+    std::vector<cg::hw::World> world;     // cores 1..4
+    std::vector<int> owner;               // cores 1..4
+    std::vector<std::size_t> rounds;      // reads per vCPU
+    bool shutdown = false;
+};
+
+Proc<void>
+migrateTimed(Testbed& bed, MigrationController& ctrl,
+             std::vector<CoreId> dest, MigrateResult& out, Tick& at)
+{
+    co_await bed.started().wait();
+    co_await sim::Delay{30 * msec};
+    out = co_await ctrl.migrateTo(std::move(dest));
+    at = bed.sim().now();
+}
+
+Proc<void>
+noteShutdown(Testbed& bed, cg::vmm::KvmVm& kvm, Tick& at)
+{
+    co_await kvm.shutdownGate().wait();
+    at = bed.sim().now();
+}
+
+/**
+ * Offline queries 1-2 are start()'s cores {1,2}; 3 is destination
+ * core 3 (taken), 4 and 5 are destination core 4's attempt and retry.
+ * Both fail, so the attempt rolls back with core 3 already taken.
+ */
+RefusedDestResult
+runRefusedSecondDest(int max_attempts)
+{
+    Testbed::Config cfg;
+    cfg.numCores = 8;
+    cfg.mode = RunMode::CoreGapped;
+    Testbed bed(cfg);
+    bed.sim().faults().arm(23, sim::FaultPlan::parse(
+                                   "hotplug-offline-fail:nth=4;"
+                                   "hotplug-offline-fail:nth=5"));
+    VmInstance& vm = bed.createVm("m", 3); // host 0, guests {1,2}
+    std::vector<std::vector<std::uint64_t>> reads(2);
+    cg::vmm::MmioRange range;
+    range.base = mmioBase;
+    range.size = 0x200;
+    range.onWrite = [](const cg::rmm::ExitInfo&) {};
+    range.onRead = [](std::uint64_t addr, int len) {
+        return addr ^ static_cast<std::uint64_t>(len);
+    };
+    vm.kvm->mapMmio(range);
+    for (int i = 0; i < 2; ++i) {
+        vm.vcpu(i).startGuest(
+            "w" + std::to_string(i),
+            mmioWorker(vm.vcpu(i),
+                       mmioBase + 0x100 * static_cast<std::uint64_t>(i),
+                       25, reads[static_cast<size_t>(i)]));
+    }
+    bed.spawnStart();
+    RefusedDestResult r;
+    bed.sim().spawn("note", noteShutdown(bed, *vm.kvm, r.shutdownAt));
+    MigrationConfig mcfg;
+    mcfg.maxAttempts = max_attempts;
+    MigrationController ctrl(*vm.gapped, nullptr, mcfg);
+    bed.sim().spawn("migrate", migrateTimed(bed, ctrl, {3, 4},
+                                            r.result, r.doneAt));
+    bed.run(20 * sim::sec);
+    r.shutdown = bed.allShutdown();
+    r.hotplugRetries =
+        bed.sim().stats().counter("gapped.m.hotplugRetries")->value();
+    r.hotplugOps = bed.kernel().stats().hotplugOps.value();
+    r.hotplugFailures = bed.kernel().stats().hotplugFailures.value();
+    for (int i = 0; i < 2; ++i)
+        r.coresOf.push_back(vm.gapped->coreOf(i));
+    for (CoreId c = 1; c <= 4; ++c) {
+        r.online.push_back(bed.kernel().isOnline(c));
+        r.world.push_back(bed.machine().core(c).world());
+        r.owner.push_back(bed.rmm().dedicatedOwner(c));
+    }
+    for (const auto& rd : reads)
+        r.rounds.push_back(rd.size());
+    EXPECT_EQ(ctrl.committed() + ctrl.rolledBack() + ctrl.refused(),
+              1u);
+    return r;
+}
+
+using World = cg::hw::World;
+constexpr World Normal = World::Normal;
+constexpr World Realm = World::Realm;
+
+} // namespace
+
+TEST(Migration, SecondDestCoreRefusalHandsBackTheFirst)
+{
+    // One attempt only: the rollback's hand-back is the final state.
+    // Core 3 got a monitor-only scrub and is back online in normal
+    // world; the source monitors were respawned and the guest
+    // finishes on {1,2}.
+    const RefusedDestResult r = runRefusedSecondDest(1);
+    ASSERT_TRUE(r.shutdown);
+    EXPECT_EQ(r.result, MigrateResult::RolledBack);
+    EXPECT_EQ(r.doneAt, 53352611604u);
+    EXPECT_EQ(r.shutdownAt, 99822334240u);
+    EXPECT_EQ(r.hotplugRetries, 1u);
+    // offline 1, 2 (start); offline 3, online 3 (rollback).
+    EXPECT_EQ(r.hotplugOps, 4u);
+    EXPECT_EQ(r.hotplugFailures, 2u);
+    EXPECT_EQ(r.coresOf, (std::vector<CoreId>{1, 2}));
+    EXPECT_EQ(r.online, (std::vector<bool>{false, false, true, true}));
+    EXPECT_EQ(r.world, (std::vector<World>{Realm, Realm, Normal,
+                                           Normal}));
+    EXPECT_EQ(r.owner, (std::vector<int>{0, 0, -1, -1}));
+    EXPECT_EQ(r.rounds, (std::vector<std::size_t>{25, 25}));
+}
+
+TEST(Migration, SecondDestCoreRefusalThenRetryCommits)
+{
+    // Default attempts: the rolled-back attempt is retried (offline
+    // queries 6 and 7 succeed) and the migration commits.
+    const RefusedDestResult r = runRefusedSecondDest(3);
+    ASSERT_TRUE(r.shutdown);
+    EXPECT_EQ(r.result, MigrateResult::Committed);
+    EXPECT_EQ(r.doneAt, 67359371327u);
+    EXPECT_EQ(r.shutdownAt, 113623229189u);
+    EXPECT_EQ(r.hotplugRetries, 1u);
+    // The rolled-back attempt's 4, then offline 3, 4 and online 1, 2.
+    EXPECT_EQ(r.hotplugOps, 8u);
+    EXPECT_EQ(r.hotplugFailures, 2u);
+    EXPECT_EQ(r.coresOf, (std::vector<CoreId>{3, 4}));
+    EXPECT_EQ(r.online, (std::vector<bool>{true, true, false, false}));
+    EXPECT_EQ(r.world, (std::vector<World>{Normal, Normal, Realm,
+                                           Realm}));
+    EXPECT_EQ(r.owner, (std::vector<int>{-1, -1, 0, 0}));
+    EXPECT_EQ(r.rounds, (std::vector<std::size_t>{25, 25}));
+}

@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "core/gapped_vm.hh"
+#include "sim/fault.hh"
 #include "sim/simulation.hh"
 
 namespace hw = cg::hw;
@@ -35,6 +36,17 @@ computeAndShutdown(VCpu& v, Tick work)
     co_await v.shutdown();
 }
 
+/** Guest loop counting completed compute rounds, then shutdown. */
+Proc<void>
+countRounds(VCpu& v, int rounds, Tick each, int& done)
+{
+    for (int i = 0; i < rounds; ++i) {
+        co_await Compute{each};
+        ++done;
+    }
+    co_await v.shutdown();
+}
+
 Proc<void>
 startGapped(GappedVm& g)
 {
@@ -46,6 +58,21 @@ doRebind(GappedVm& g, int idx, sim::CoreId core, int& result)
 {
     const bool ok = co_await g.rebindVcpu(idx, core);
     result = ok ? 1 : 0;
+}
+
+Proc<void>
+doRebindTimed(GappedVm& g, sim::Simulation& s, int idx,
+              sim::CoreId core, int& result, Tick& at)
+{
+    co_await doRebind(g, idx, core, result);
+    at = s.now();
+}
+
+Proc<void>
+noteShutdown(GappedVm& g, sim::Simulation& s, Tick& at)
+{
+    co_await g.shutdownGate().wait();
+    at = s.now();
 }
 
 struct Rig {
@@ -191,6 +218,54 @@ TEST_F(RebindFixture, MigrationBusyIsNotMistakenForRateLimit)
     gapped->resume();
     sim.run(30 * sim::sec);
     EXPECT_TRUE(gapped->shutdownGate().isOpen());
+}
+
+TEST_F(RebindFixture, NewCoreThatRefusesToOfflineKeepsTheOldCore)
+{
+    // Offline query 1 is start()'s core 1; queries 2 and 3 are the
+    // rebind's attempt and retry on core 2. Both fail: the rebind is
+    // refused, the old monitor loop is respawned, and the vCPU keeps
+    // running on core 1 while core 2 stays with the host.
+    sim.faults().arm(1, sim::FaultPlan::parse(
+                            "hotplug-offline-fail:nth=2;"
+                            "hotplug-offline-fail:nth=3"));
+    boot(4);
+    gapped->registerStats(sim.stats());
+    int rounds = 0;
+    vm->vcpu(0).startGuest(
+        "w", countRounds(vm->vcpu(0), 100, 2 * msec, rounds));
+    Tick shutdown_at = 0;
+    sim.spawn("note", noteShutdown(*gapped, sim, shutdown_at));
+    sim.spawn("starter", startGapped(*gapped));
+    sim.runFor(100 * msec);
+    ASSERT_EQ(rmm->recBinding(kvm->realmId(), 0), 1);
+
+    int ok = -1;
+    Tick done_at = 0;
+    sim.spawn("rebind",
+              doRebindTimed(*gapped, sim, 0, 2, ok, done_at));
+    sim.runFor(100 * msec);
+    EXPECT_EQ(ok, 0);
+    EXPECT_EQ(done_at, 108267520682u);
+    EXPECT_EQ(sim.stats().counter("gapped.vm.hotplugRetries")->value(),
+              1u);
+    EXPECT_EQ(sim.faults().injected(sim::FaultSite::HotplugOfflineFail),
+              2u);
+    EXPECT_EQ(gapped->coreOf(0), 1);
+    EXPECT_EQ(rmm->recBinding(kvm->realmId(), 0), 1);
+    EXPECT_EQ(rmm->dedicatedOwner(1), kvm->realmId());
+    EXPECT_EQ(rmm->dedicatedOwner(2), -1);
+    EXPECT_FALSE(kernel->isOnline(1));
+    EXPECT_TRUE(kernel->isOnline(2));
+    EXPECT_EQ(machine->core(1).world(), hw::World::Realm);
+    EXPECT_EQ(machine->core(2).world(), hw::World::Normal);
+    EXPECT_EQ(rmm->stats().rebinds.value(), 0u);
+
+    // The respawned monitor loop serves the guest to completion.
+    sim.run(30 * sim::sec);
+    EXPECT_TRUE(gapped->shutdownGate().isOpen());
+    EXPECT_EQ(rounds, 100);
+    EXPECT_EQ(shutdown_at, 212491573974u);
 }
 
 TEST_F(RebindFixture, RefusesAnotherTenantsCore)

@@ -374,6 +374,74 @@ TEST(ChaosPlanner, FailedStartReleasesEveryReservation)
         EXPECT_TRUE(bed.kernel().isOnline(c)) << c;
 }
 
+namespace {
+
+Proc<void>
+countRounds(guest::VCpu& v, int rounds, int& done)
+{
+    for (int i = 0; i < rounds; ++i) {
+        co_await Compute{1 * msec};
+        ++done;
+    }
+    co_await v.shutdown();
+}
+
+Proc<void>
+noteStarted(Testbed& bed, Tick& at)
+{
+    co_await bed.started().wait();
+    at = bed.sim().now();
+}
+
+} // namespace
+
+TEST(ChaosPlanner, FailedStartOnTheSecondCoreHandsBackTheFirst)
+{
+    Testbed::Config cfg;
+    cfg.numCores = 6;
+    cfg.mode = RunMode::CoreGapped;
+    Testbed bed(cfg);
+    // The first core offlines (query 1); the second core's attempt
+    // and retry both fail (queries 2 and 3). start() rolls back and
+    // hands the first core back: monitor-only scrub, normal world,
+    // online.
+    bed.sim().faults().arm(
+        1, FaultPlan::parse("hotplug-offline-fail:nth=2;"
+                            "hotplug-offline-fail:nth=3"));
+    CorePlanner planner(bed.machine(), host::CpuMask::firstN(2));
+    auto cores = planner.reserve(2);
+    ASSERT_TRUE(cores.has_value());
+    ASSERT_EQ(*cores, (std::vector<sim::CoreId>{2, 3}));
+    VmInstance& vm = bed.createVmOn("doomed", *cores,
+                                    host::CpuMask::single(0), 2, {},
+                                    &planner);
+    int rounds = 0;
+    for (int i = 0; i < 2; ++i)
+        vm.vcpu(i).startGuest("w", countRounds(vm.vcpu(i), 5, rounds));
+    Tick started_at = 0;
+    bed.sim().spawn("note", noteStarted(bed, started_at));
+    bed.spawnStart();
+    bed.run(bed.sim().now() + 5 * sim::sec);
+    EXPECT_EQ(bed.startFailures(), 1);
+    EXPECT_EQ(started_at, 14938603636u);
+    EXPECT_EQ(
+        bed.sim().stats().counter("gapped.doomed.hotplugRetries")->value(),
+        1u);
+    EXPECT_EQ(bed.sim().faults().injected(FaultSite::HotplugOfflineFail),
+              2u);
+    // offline 2 (start), online 2 (hand-back).
+    EXPECT_EQ(bed.kernel().stats().hotplugOps.value(), 2u);
+    EXPECT_EQ(vm.gapped->coresLost(), 0u);
+    EXPECT_EQ(planner.reservedCores(), 0);
+    for (sim::CoreId c : *cores) {
+        EXPECT_TRUE(bed.kernel().isOnline(c)) << c;
+        EXPECT_EQ(bed.machine().core(c).world(), hw::World::Normal) << c;
+        EXPECT_EQ(bed.rmm().dedicatedOwner(c), -1) << c;
+    }
+    EXPECT_EQ(rounds, 0);
+    EXPECT_FALSE(vm.kvm->shutdownGate().isOpen());
+}
+
 TEST(ChaosPlanner, TeardownReleasesAfterOnlineRetry)
 {
     Testbed::Config cfg;
