@@ -69,12 +69,7 @@ GappedVm::~GappedVm()
     monitorWork_.notifyAll();
     if (doorbellSub_ != 0)
         doorbell_.unsubscribe(doorbellTarget_, doorbellSub_);
-    if (wakeupThread_ && !wakeupThread_->done())
-        wakeupThread_->process().kill();
-    for (host::Thread* t : vcpuThreads_) {
-        if (t && !t->done())
-            t->process().kill();
-    }
+    killHostThreads();
     for (sim::Process* p : monitorProcs_) {
         if (p)
             p->kill();
@@ -109,26 +104,58 @@ GappedVm::isLostCore(sim::CoreId c) const
 }
 
 void
+GappedVm::releaseCores(CorePlanner* planner,
+                       const std::vector<sim::CoreId>& cores) const
+{
+    if (!planner)
+        return;
+    // A quarantined core stays reserved forever: releasing it would
+    // let the planner hand an offline core to the next VM (I7).
+    std::vector<sim::CoreId> back;
+    for (sim::CoreId c : cores) {
+        if (!isLostCore(c))
+            back.push_back(c);
+    }
+    if (!back.empty())
+        planner->release(back);
+}
+
+void
 GappedVm::releasePlannerReservations()
 {
     if (!cfg_.planner || plannerReleased_)
         return;
     plannerReleased_ = true;
-    // A quarantined core stays reserved forever: releasing it would
-    // let the planner hand an offline core to the next VM (I7).
-    std::vector<sim::CoreId> back;
-    for (sim::CoreId c : cfg_.guestCores) {
-        if (!isLostCore(c))
-            back.push_back(c);
-    }
-    if (!back.empty())
-        cfg_.planner->release(back);
+    releaseCores(cfg_.planner, cfg_.guestCores);
 }
 
 sim::Proc<bool>
-GappedVm::onlineWithRetry(sim::CoreId core)
+GappedVm::dedicateCore(sim::CoreId core)
 {
     host::Kernel& kernel = kvm_.kernel();
+    hw::Machine& machine = kernel.machine();
+    bool ok = co_await kernel.offlineCore(core);
+    if (!ok) {
+        hotplugRetries_.inc();
+        ok = co_await kernel.offlineCore(core);
+        if (ok) {
+            machine.sim().faults().noteRecovered(
+                sim::FaultSite::HotplugOfflineFail);
+        }
+    }
+    if (!ok)
+        co_return false;
+    co_await sim::Delay{machine.switchWorld(core, hw::World::Realm)};
+    machine.core(core).setOccupant(sim::monitorDomain);
+    co_return true;
+}
+
+sim::Proc<bool>
+GappedVm::returnCore(sim::CoreId core)
+{
+    host::Kernel& kernel = kvm_.kernel();
+    co_await sim::Delay{
+        kernel.machine().switchWorld(core, hw::World::Normal)};
     if (co_await kernel.onlineCore(core))
         co_return true;
     hotplugRetries_.inc();
@@ -143,6 +170,112 @@ GappedVm::onlineWithRetry(sim::CoreId core)
               "quarantining it (stays reserved, never reused)",
               kvm_.guestVm().name().c_str(), core);
     co_return false;
+}
+
+void
+GappedVm::spawnMonitor(int idx)
+{
+    const auto i = static_cast<size_t>(idx);
+    const sim::CoreId core = cfg_.guestCores[i];
+    monitorProcs_[i] = &kvm_.kernel().machine().sim().spawn(
+        sim::strFormat("%s/rmm-core%d", kvm_.guestVm().name().c_str(),
+                       core),
+        monitorCoreLoop(idx, core, monGen_[i]));
+}
+
+sim::Proc<void>
+GappedVm::retireMonitors(int first, int last)
+{
+    // Bumping the generation retires a loop at its next wake-up; the
+    // loops are idle (their run loops are parked), so each exits.
+    for (int i = first; i < last; ++i)
+        ++monGen_[static_cast<size_t>(i)];
+    monitorWork_.notifyAll();
+    for (int i = first; i < last; ++i) {
+        if (sim::Process* p = monitorProcs_[static_cast<size_t>(i)])
+            co_await sim::join(*p);
+    }
+}
+
+void
+GappedVm::routeDirectIrqs()
+{
+    // Directly-delivered interrupts belong ON the dedicated cores:
+    // hotplug migrated every SPI away from the cores it offlined.
+    for (const auto& [spi, target] : directIrqs_) {
+        kvm_.kernel().machine().gic().routeSpi(
+            spi, cfg_.guestCores[static_cast<size_t>(target.first)]);
+    }
+}
+
+void
+GappedVm::killHostThreads()
+{
+    for (host::Thread* t : vcpuThreads_) {
+        if (t && !t->done())
+            t->process().kill();
+    }
+    if (wakeupThread_ && !wakeupThread_->done())
+        wakeupThread_->process().kill();
+}
+
+void
+GappedVm::requestPark(int idx)
+{
+    Park& park = *parks_[static_cast<size_t>(idx)];
+    park.requested = true;
+    park.resume.reset();
+    if (kvm_.guestVm().vcpu(idx).entered()) {
+        kvm_.kernel().machine().gic().sendSgi(
+            cfg_.guestCores[static_cast<size_t>(idx)], kickSgi);
+    }
+}
+
+void
+GappedVm::requestParkAll()
+{
+    // vCPUs that already shut down have no run loop to park.
+    for (int i = 0; i < kvm_.guestVm().numVcpus(); ++i) {
+        if (!vcpuThreads_[static_cast<size_t>(i)]->done())
+            requestPark(i);
+    }
+}
+
+sim::Proc<bool>
+GappedVm::awaitPark(int idx, Tick deadline)
+{
+    Park& park = *parks_[static_cast<size_t>(idx)];
+    if (deadline == 0) {
+        while (!park.parked)
+            co_await park.parkedNotify.wait();
+        co_return true;
+    }
+    sim::Simulation& sim = kvm_.kernel().machine().sim();
+    while (!park.parked) {
+        const Tick limit = sim.now() + deadline;
+        const sim::EventId timer = sim.queue().scheduleIn(
+            deadline, [&park] { park.parkedNotify.notifyAll(); });
+        co_await park.parkedNotify.wait();
+        sim.queue().cancel(timer);
+        if (!park.parked && sim.now() >= limit)
+            co_return false;
+    }
+    co_return true;
+}
+
+void
+GappedVm::unpark(int idx)
+{
+    Park& park = *parks_[static_cast<size_t>(idx)];
+    park.requested = false;
+    park.resume.open();
+}
+
+void
+GappedVm::unparkAll()
+{
+    for (int i = 0; i < kvm_.guestVm().numVcpus(); ++i)
+        unpark(i);
 }
 
 sim::Proc<bool>
@@ -161,23 +294,11 @@ GappedVm::start()
     // start leaks no planner reservation (I7).
     std::vector<sim::CoreId> dedicated;
     for (sim::CoreId core : cfg_.guestCores) {
-        bool ok = co_await kernel.offlineCore(core);
-        if (!ok) {
-            hotplugRetries_.inc();
-            ok = co_await kernel.offlineCore(core);
-            if (ok) {
-                machine.sim().faults().noteRecovered(
-                    sim::FaultSite::HotplugOfflineFail);
-            }
-        }
-        if (!ok) {
+        if (!co_await dedicateCore(core)) {
             sim::warn("%s: could not dedicate core %d; rolling back",
                       kvm_.guestVm().name().c_str(), core);
             break;
         }
-        const Tick t = machine.switchWorld(core, hw::World::Realm);
-        co_await sim::Delay{t};
-        machine.core(core).setOccupant(sim::monitorDomain);
         dedicated.push_back(core);
     }
     if (dedicated.size() != cfg_.guestCores.size()) {
@@ -187,30 +308,15 @@ GappedVm::start()
         for (sim::CoreId core : dedicated) {
             scrubForHandback(machine, core, sim::invalidDomain, false,
                              nullptr);
-            co_await sim::Delay{machine.switchWorld(
-                core, hw::World::Normal)};
-            co_await onlineWithRetry(core);
+            co_await returnCore(core);
         }
         releasePlannerReservations();
         started_ = false;
         co_return false;
     }
-    for (int i = 0; i < n; ++i) {
-        monitorProcs_[static_cast<size_t>(i)] = &machine.sim().spawn(
-            sim::strFormat("%s/rmm-core%d",
-                           kvm_.guestVm().name().c_str(),
-                           cfg_.guestCores[static_cast<size_t>(i)]),
-            monitorCoreLoop(i, cfg_.guestCores[static_cast<size_t>(i)],
-                            monGen_[static_cast<size_t>(i)]));
-    }
-
-    // Re-apply direct-delivery MSI routes: hotplug migrated all SPIs
-    // away from the cores we just offlined, but directly-delivered
-    // interrupts belong ON the dedicated cores.
-    for (const auto& [spi, target] : directIrqs_) {
-        machine.gic().routeSpi(
-            spi, cfg_.guestCores[static_cast<size_t>(target.first)]);
-    }
+    for (int i = 0; i < n; ++i)
+        spawnMonitor(i);
+    routeDirectIrqs();
 
     // Host side: wake-up thread plus one FIFO thread per vCPU. The
     // doorbell sets a level-triggered flag: rings can coalesce while
@@ -258,9 +364,7 @@ GappedVm::teardown()
     for (sim::CoreId core : cfg_.guestCores) {
         scrubForHandback(machine, core, guest_domain,
                          cfg_.verifyScrubs, &scrubRepairs_);
-        const Tick t = machine.switchWorld(core, hw::World::Normal);
-        co_await sim::Delay{t};
-        co_await onlineWithRetry(core);
+        co_await returnCore(core);
     }
     rmm_.realmDestroy(realm_);
     releasePlannerReservations();
@@ -273,47 +377,17 @@ GappedVm::terminate()
     hw::Machine& machine = kvm_.kernel().machine();
     const int n = kvm_.guestVm().numVcpus();
     // Force every live vCPU out of guest execution and park its run
-    // loop; vCPUs that already shut down need nothing.
+    // loop. With faults armed the wait is bounded: a hung monitor
+    // never publishes the exit, so its vCPU thread never parks —
+    // after parkDeadline the host stops cooperating and reclaims the
+    // core by force.
+    requestParkAll();
+    const Tick deadline =
+        machine.sim().faults().armed() ? parkDeadline : 0;
     for (int i = 0; i < n; ++i) {
         if (vcpuThreads_[static_cast<size_t>(i)]->done())
             continue;
-        Park& park = *parks_[static_cast<size_t>(i)];
-        park.requested = true;
-        park.resume.reset();
-        VCpu& v = kvm_.guestVm().vcpu(i);
-        if (v.entered()) {
-            machine.gic().sendSgi(
-                cfg_.guestCores[static_cast<size_t>(i)], kickSgi);
-        }
-    }
-    // Wait for each run loop to reach the park gate. With faults
-    // armed the wait is bounded: a hung monitor never publishes the
-    // exit, so its vCPU thread never parks — after parkDeadline the
-    // host stops cooperating and reclaims the core by force.
-    const bool bounded = machine.sim().faults().armed();
-    for (int i = 0; i < n; ++i) {
-        if (vcpuThreads_[static_cast<size_t>(i)]->done())
-            continue;
-        Park& park = *parks_[static_cast<size_t>(i)];
-        if (!bounded) {
-            while (!park.parked)
-                co_await park.parkedNotify.wait();
-            continue;
-        }
-        bool hung = false;
-        while (!park.parked) {
-            const Tick deadline = machine.sim().now() + parkDeadline;
-            const sim::EventId timer = machine.sim().queue().scheduleIn(
-                parkDeadline,
-                [&park] { park.parkedNotify.notifyAll(); });
-            co_await park.parkedNotify.wait();
-            machine.sim().queue().cancel(timer);
-            if (!park.parked && machine.sim().now() >= deadline) {
-                hung = true;
-                break;
-            }
-        }
-        if (!hung)
+        if (co_await awaitPark(i, deadline))
             continue;
         machine.sim().faults().noteDetected(
             sim::FaultSite::MonitorHang);
@@ -338,12 +412,7 @@ GappedVm::terminate()
             sim::FaultSite::MonitorHang);
     }
     // The host kills the VMM's threads outright.
-    for (host::Thread* t : vcpuThreads_) {
-        if (t && !t->done())
-            t->process().kill();
-    }
-    if (wakeupThread_ && !wakeupThread_->done())
-        wakeupThread_->process().kill();
+    killHostThreads();
     co_await teardown();
     kvm_.shutdownGate().open();
 }
@@ -559,79 +628,23 @@ GappedVm::vcpuThreadBody(int idx)
     kvm_.notifyVcpuShutdown();
 }
 
-sim::Proc<void>
-GappedVm::suspend()
+sim::Proc<bool>
+GappedVm::suspend(Tick deadline)
 {
     CG_ASSERT(started_ && !suspended_, "bad suspend");
     suspended_ = true;
-    hw::Machine& machine = kvm_.kernel().machine();
-    const int n = kvm_.guestVm().numVcpus();
-    for (int i = 0; i < n; ++i) {
+    requestParkAll();
+    for (int i = 0; i < kvm_.guestVm().numVcpus(); ++i) {
         if (vcpuThreads_[static_cast<size_t>(i)]->done())
             continue; // guest already shut down
-        Park& park = *parks_[static_cast<size_t>(i)];
-        park.requested = true;
-        park.resume.reset();
-        VCpu& v = kvm_.guestVm().vcpu(i);
-        if (v.entered()) {
-            machine.gic().sendSgi(
-                cfg_.guestCores[static_cast<size_t>(i)], kickSgi);
+        if (!co_await awaitPark(i, deadline)) {
+            // Roll the parks back: the VM keeps running; the caller
+            // escalates (terminate() reclaims hung monitors by force).
+            suspended_ = false;
+            unparkAll();
+            co_return false;
         }
     }
-    for (int i = 0; i < n; ++i) {
-        if (vcpuThreads_[static_cast<size_t>(i)]->done())
-            continue;
-        Park& park = *parks_[static_cast<size_t>(i)];
-        while (!park.parked)
-            co_await park.parkedNotify.wait();
-    }
-}
-
-sim::Proc<bool>
-GappedVm::trySuspend(Tick deadline)
-{
-    CG_ASSERT(started_ && !suspended_, "bad trySuspend");
-    hw::Machine& machine = kvm_.kernel().machine();
-    const int n = kvm_.guestVm().numVcpus();
-    for (int i = 0; i < n; ++i) {
-        if (vcpuThreads_[static_cast<size_t>(i)]->done())
-            continue;
-        Park& park = *parks_[static_cast<size_t>(i)];
-        park.requested = true;
-        park.resume.reset();
-        VCpu& v = kvm_.guestVm().vcpu(i);
-        if (v.entered()) {
-            machine.gic().sendSgi(
-                cfg_.guestCores[static_cast<size_t>(i)], kickSgi);
-        }
-    }
-    bool hung = false;
-    for (int i = 0; i < n && !hung; ++i) {
-        if (vcpuThreads_[static_cast<size_t>(i)]->done())
-            continue;
-        Park& park = *parks_[static_cast<size_t>(i)];
-        while (!park.parked) {
-            const Tick limit = machine.sim().now() + deadline;
-            const sim::EventId timer = machine.sim().queue().scheduleIn(
-                deadline, [&park] { park.parkedNotify.notifyAll(); });
-            co_await park.parkedNotify.wait();
-            machine.sim().queue().cancel(timer);
-            if (!park.parked && machine.sim().now() >= limit) {
-                hung = true;
-                break;
-            }
-        }
-    }
-    if (hung) {
-        // Roll the parks back: the VM keeps running; the caller
-        // escalates (terminate() reclaims hung monitors by force).
-        for (auto& park : parks_) {
-            park->requested = false;
-            park->resume.open();
-        }
-        co_return false;
-    }
-    suspended_ = true;
     co_return true;
 }
 
@@ -640,10 +653,7 @@ GappedVm::resume()
 {
     CG_ASSERT(suspended_, "resume without suspend");
     suspended_ = false;
-    for (auto& park : parks_) {
-        park->requested = false;
-        park->resume.open();
-    }
+    unparkAll();
 }
 
 void
@@ -664,113 +674,67 @@ GappedVm::rebindVcpu(int idx, sim::CoreId new_core)
     CG_ASSERT(!suspended_, "rebind while suspended is not supported");
     CG_ASSERT(idx >= 0 && idx < kvm_.guestVm().numVcpus(),
               "bad vCPU index %d", idx);
-    host::Kernel& kernel = kvm_.kernel();
-    hw::Machine& machine = kernel.machine();
-    VCpu& v = kvm_.guestVm().vcpu(idx);
-    Park& park = *parks_[static_cast<size_t>(idx)];
-    const sim::CoreId old_core =
-        cfg_.guestCores[static_cast<size_t>(idx)];
+    hw::Machine& machine = kvm_.kernel().machine();
+    const sim::CoreId old_core = coreOf(idx);
 
     // 1. Park the host-side run loop: ask, kick the guest out of its
     //    current run call, and wait for the thread to reach the gate.
-    park.requested = true;
-    park.resume.reset();
-    if (v.entered())
-        machine.gic().sendSgi(old_core, kickSgi);
-    while (!park.parked)
-        co_await park.parkedNotify.wait();
+    requestPark(idx);
+    co_await awaitPark(idx, 0);
 
-    // 2. Retire the old monitor loop (bump its generation).
-    ++monGen_[static_cast<size_t>(idx)];
-    monitorWork_.notifyAll();
-    co_await sim::join(*monitorProcs_[static_cast<size_t>(idx)]);
+    // 2. Retire the old monitor loop.
+    co_await retireMonitors(idx, idx + 1);
 
     // 3. Dedicate the new core: hotplug it away from the host and
     //    switch it into realm world. On failure (after one retry)
     //    restart the old monitor loop and report the rebind refused.
-    bool took = co_await kernel.offlineCore(new_core);
-    if (!took) {
-        hotplugRetries_.inc();
-        took = co_await kernel.offlineCore(new_core);
-        if (took) {
-            machine.sim().faults().noteRecovered(
-                sim::FaultSite::HotplugOfflineFail);
-        }
-    }
-    if (!took) {
+    bool ok = co_await dedicateCore(new_core);
+    if (!ok) {
         sim::warn("%s/vcpu%d: rebind: could not dedicate core %d",
                   kvm_.guestVm().name().c_str(), idx, new_core);
-        monitorProcs_[static_cast<size_t>(idx)] =
-            &machine.sim().spawn(
-                sim::strFormat("%s/rmm-core%d",
-                               kvm_.guestVm().name().c_str(), old_core),
-                monitorCoreLoop(idx, old_core,
-                                monGen_[static_cast<size_t>(idx)]));
-        park.requested = false;
-        park.resume.open();
-        co_return false;
-    }
-    co_await sim::Delay{machine.switchWorld(new_core,
-                                            hw::World::Realm)};
-    machine.core(new_core).setOccupant(sim::monitorDomain);
-
-    // 4. The monitor validates and performs the rebind, scrubbing the
-    //    old core's guest residue. A rate-limit refusal (Busy with a
-    //    known allowed-at tick) is not dropped: the control plane
-    //    holds the dedicated new core, backs off until the limiter
-    //    window opens, and retries — bounded so a Busy of any other
-    //    cause still rolls back.
-    rmm::RmiStatus s = rmm_.recRebind(realm_, idx, new_core);
-    for (int attempt = 0;
-         s == rmm::RmiStatus::Busy && attempt < maxRebindRetries;
-         ++attempt) {
-        const Tick allowed = rmm_.rebindAllowedAt(realm_, idx);
-        const Tick now = machine.sim().now();
-        if (allowed <= now)
-            break; // Busy for a non-rate-limit reason
-        rebindRetries_.inc();
-        co_await sim::Delay{allowed - now};
-        s = rmm_.recRebind(realm_, idx, new_core);
-    }
-    if (s != rmm::RmiStatus::Success) {
-        // Roll back: return the new core to the host, restart the old
-        // monitor loop, unpark.
-        sim::warn("%s/vcpu%d: rebind to core %d refused: %s",
-                  kvm_.guestVm().name().c_str(), idx, new_core,
-                  rmm::rmiStatusName(s));
-        co_await sim::Delay{machine.switchWorld(new_core,
-                                                hw::World::Normal)};
-        co_await onlineWithRetry(new_core);
-        monitorProcs_[static_cast<size_t>(idx)] =
-            &machine.sim().spawn(
-                sim::strFormat("%s/rmm-core%d",
-                               kvm_.guestVm().name().c_str(), old_core),
-                monitorCoreLoop(idx, old_core,
-                                monGen_[static_cast<size_t>(idx)]));
-        park.requested = false;
-        park.resume.open();
-        co_return false;
+    } else {
+        // 4. The monitor validates and performs the rebind, scrubbing
+        //    the old core's guest residue. A rate-limit refusal (Busy
+        //    with a known allowed-at tick) is not dropped: the control
+        //    plane holds the dedicated new core, backs off until the
+        //    limiter window opens, and retries — bounded so a Busy of
+        //    any other cause still rolls back.
+        rmm::RmiStatus s = rmm_.recRebind(realm_, idx, new_core);
+        for (int attempt = 0;
+             s == rmm::RmiStatus::Busy && attempt < maxRebindRetries;
+             ++attempt) {
+            const Tick allowed = rmm_.rebindAllowedAt(realm_, idx);
+            const Tick now = machine.sim().now();
+            if (allowed <= now)
+                break; // Busy for a non-rate-limit reason
+            rebindRetries_.inc();
+            co_await sim::Delay{allowed - now};
+            s = rmm_.recRebind(realm_, idx, new_core);
+        }
+        if (s != rmm::RmiStatus::Success) {
+            // Roll back: return the new core to the host.
+            sim::warn("%s/vcpu%d: rebind to core %d refused: %s",
+                      kvm_.guestVm().name().c_str(), idx, new_core,
+                      rmm::rmiStatusName(s));
+            co_await returnCore(new_core);
+            ok = false;
+        }
     }
 
-    // 5. New monitor loop on the new core; unpark the run loop.
-    monitorProcs_[static_cast<size_t>(idx)] = &machine.sim().spawn(
-        sim::strFormat("%s/rmm-core%d", kvm_.guestVm().name().c_str(),
-                       new_core),
-        monitorCoreLoop(idx, new_core,
-                        monGen_[static_cast<size_t>(idx)]));
-    cfg_.guestCores[static_cast<size_t>(idx)] = new_core;
-    // Directly-delivered interrupts follow the vCPU to its new core.
-    for (const auto& [spi, target] : directIrqs_) {
-        if (target.first == idx)
-            machine.gic().routeSpi(spi, new_core);
+    // 5. A monitor loop on the vCPU's core — the new one, or the old
+    //    one again after a refusal — and directly-delivered
+    //    interrupts follow the vCPU; unpark the run loop.
+    if (ok) {
+        cfg_.guestCores[static_cast<size_t>(idx)] = new_core;
+        routeDirectIrqs();
     }
-    park.requested = false;
-    park.resume.open();
+    spawnMonitor(idx);
+    unpark(idx);
+    if (!ok)
+        co_return false;
 
     // 6. Hand the old core back to the host.
-    co_await sim::Delay{machine.switchWorld(old_core,
-                                            hw::World::Normal)};
-    co_await onlineWithRetry(old_core);
+    co_await returnCore(old_core);
     co_return true;
 }
 

@@ -143,17 +143,16 @@ class GappedVm
      * lifecycle operations core gapping keeps, unlike Core Slicing):
      * every vCPU is forced out of guest execution and its run loop is
      * parked. The cores stay dedicated; guest state stays in place.
+     *
+     * With a nonzero @p deadline the wait per vCPU is bounded: if a
+     * run loop fails to park in time (a hung monitor never publishes
+     * the exit), every park is rolled back and false is returned —
+     * the VM keeps running and the caller escalates (terminate()).
+     * The migration controller suspends this way, since it must never
+     * wedge on a fault. With 0 the wait is unbounded and schedules no
+     * timer; it always returns true.
      */
-    sim::Proc<void> suspend();
-
-    /**
-     * suspend() with a bounded wait per vCPU: if a run loop fails to
-     * park within @p deadline (a hung monitor never publishes the
-     * exit), every park is rolled back and false is returned — the VM
-     * keeps running and the caller escalates (terminate()). Used by
-     * the migration controller, which must never wedge on a fault.
-     */
-    sim::Proc<bool> trySuspend(sim::Tick deadline);
+    sim::Proc<bool> suspend(sim::Tick deadline = 0);
 
     /** Resume a suspended VM: run loops repost their run calls. */
     void resume();
@@ -203,8 +202,8 @@ class GappedVm
     /** @} */
 
   private:
-    /** Drives migrations through this runner's internals (park /
-     * monitor-retire / respawn); see core/migration.hh. */
+    /** Drives migrations through this runner's lifecycle helpers
+     * below; see core/migration.hh. */
     friend class MigrationController;
     struct Park {
         bool requested = false;
@@ -218,8 +217,33 @@ class GappedVm
     sim::Proc<void> vcpuThreadBody(int idx);
     sim::Proc<void> wakeupThreadBody();
 
-    /** Online a reclaimed core, retrying once; false = core lost. */
-    sim::Proc<bool> onlineWithRetry(sim::CoreId core);
+    /** @{ The dedicated-core lifecycle (section 4.2), shared by
+     * start/teardown/terminate/suspend/rebind and migration. */
+    /** Hotplug @p core out (one retry) and hand it to the monitor in
+     * realm world; false = it refused to offline. */
+    sim::Proc<bool> dedicateCore(sim::CoreId core);
+    /** Switch a scrubbed @p core to normal world and online it (one
+     * retry); false = core lost (quarantined). */
+    sim::Proc<bool> returnCore(sim::CoreId core);
+    /** Start vCPU @p idx's monitor loop on its current core. */
+    void spawnMonitor(int idx);
+    /** Retire and join the monitor loops of vCPUs [first, last). */
+    sim::Proc<void> retireMonitors(int first, int last);
+    /** Point every direct-delivery SPI at its vCPU's current core. */
+    void routeDirectIrqs();
+    /** Kill the vCPU threads, then the wake-up thread. */
+    void killHostThreads();
+    /** Park requests kick the vCPU out of the guest; awaitPark waits
+     * unbounded for @p deadline 0, else false once it passes. */
+    void requestPark(int idx);
+    void requestParkAll(); ///< every vCPU not yet shut down
+    sim::Proc<bool> awaitPark(int idx, sim::Tick deadline);
+    void unpark(int idx);
+    void unparkAll();
+    /** Release @p cores to @p planner (if any), minus lost cores. */
+    void releaseCores(CorePlanner* planner,
+                      const std::vector<sim::CoreId>& cores) const;
+    /** @} */
 
     /** Release planner reservations exactly once (lost cores stay). */
     void releasePlannerReservations();

@@ -98,25 +98,13 @@ MigrationController::rollbackAttempt(
     for (CoreId core : dest_taken) {
         scrubForHandback(machine, core, sim::invalidDomain, false,
                          nullptr);
-        co_await sim::Delay{
-            machine.switchWorld(core, hw::World::Normal)};
-        co_await vm_.onlineWithRetry(core);
+        co_await vm_.returnCore(core);
     }
     // The realm keeps running where it was: respawn the source
     // monitor loops if we already retired them.
     if (monitors_retired) {
-        const int n = vm_.kvm_.guestVm().numVcpus();
-        for (int i = 0; i < n; ++i) {
-            const CoreId core =
-                vm_.cfg_.guestCores[static_cast<size_t>(i)];
-            vm_.monitorProcs_[static_cast<size_t>(i)] =
-                &machine.sim().spawn(
-                    sim::strFormat("%s/rmm-core%d",
-                                   vm_.kvm_.guestVm().name().c_str(),
-                                   core),
-                    vm_.monitorCoreLoop(
-                        i, core, vm_.monGen_[static_cast<size_t>(i)]));
-        }
+        for (int i = 0; i < vm_.kvm_.guestVm().numVcpus(); ++i)
+            vm_.spawnMonitor(i);
     }
     vm_.resume();
 }
@@ -129,7 +117,6 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
     const int realm = vm_.realm_;
     hw::Machine& machine = vm_.kvm_.kernel().machine();
     sim::Simulation& sim = machine.sim();
-    host::Kernel& kernel = vm_.kvm_.kernel();
     const hw::Costs& costs = machine.costs();
     const std::string& name = vm_.kvm_.guestVm().name();
     const int n = vm_.kvm_.guestVm().numVcpus();
@@ -143,7 +130,7 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
 
     // 1. Pause the realm (bounded): a hung monitor refuses the whole
     //    migration rather than wedging it.
-    if (!co_await vm_.trySuspend(GappedVm::parkDeadline)) {
+    if (!co_await vm_.suspend(GappedVm::parkDeadline)) {
         sim::warn("%s: migration refused: a monitor never parked its "
                   "vCPU (hung?)", name.c_str());
         refused_out = true;
@@ -237,38 +224,19 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
 
     // 5. Retire the source monitor loops (they are idle: the realm is
     //    suspended, so no run call or sync RPC is pending).
-    for (int i = 0; i < n; ++i)
-        ++vm_.monGen_[static_cast<size_t>(i)];
-    vm_.monitorWork_.notifyAll();
-    for (int i = 0; i < n; ++i) {
-        if (vm_.monitorProcs_[static_cast<size_t>(i)])
-            co_await sim::join(
-                *vm_.monitorProcs_[static_cast<size_t>(i)]);
-    }
+    co_await vm_.retireMonitors(0, n);
 
     // 6. Dedicate the destination pool: hotplug each core out of the
     //    host and hand it to the monitor in realm world.
     std::vector<CoreId> dest_taken;
     for (CoreId core : dest) {
-        bool ok = co_await kernel.offlineCore(core);
-        if (!ok) {
-            vm_.hotplugRetries_.inc();
-            ok = co_await kernel.offlineCore(core);
-            if (ok) {
-                sim.faults().noteRecovered(
-                    sim::FaultSite::HotplugOfflineFail);
-            }
-        }
-        if (!ok) {
+        if (!co_await vm_.dedicateCore(core)) {
             sim::warn("%s: migration could not dedicate core %d; "
                       "rolling back", name.c_str(), core);
             co_await rollbackAttempt(dest_taken, true, total, base,
                                      true);
             co_return false;
         }
-        co_await sim::Delay{
-            machine.switchWorld(core, hw::World::Realm)};
-        machine.core(core).setOccupant(sim::monitorDomain);
         dest_taken.push_back(core);
     }
 
@@ -303,19 +271,9 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
     // 9. The realm now lives on the destination pool: monitors, kick
     //    targets, and direct-delivery routes follow it.
     vm_.cfg_.guestCores = dest;
-    for (int i = 0; i < n; ++i) {
-        vm_.monitorProcs_[static_cast<size_t>(i)] =
-            &machine.sim().spawn(
-                sim::strFormat("%s/rmm-core%d", name.c_str(),
-                               dest[static_cast<size_t>(i)]),
-                vm_.monitorCoreLoop(
-                    i, dest[static_cast<size_t>(i)],
-                    vm_.monGen_[static_cast<size_t>(i)]));
-    }
-    for (const auto& [spi, target] : vm_.directIrqs_) {
-        machine.gic().routeSpi(
-            spi, dest[static_cast<size_t>(target.first)]);
-    }
+    for (int i = 0; i < n; ++i)
+        vm_.spawnMonitor(i);
+    vm_.routeDirectIrqs();
 
     // 10. Scrub-verified source handback: each source core is scrubbed
     //     of guest and monitor residue (or, under verifyScrubs, the
@@ -327,9 +285,7 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
                          vm_.cfg_.verifyScrubs, &vm_.scrubRepairs_);
         if (machine.checker())
             machine.checker()->onMigrationHandback(core);
-        co_await sim::Delay{
-            machine.switchWorld(core, hw::World::Normal)};
-        co_await vm_.onlineWithRetry(core);
+        co_await vm_.returnCore(core);
     }
     // The released source granules return to the host.
     for (const auto& [addr, state] : src_granules) {
@@ -379,18 +335,6 @@ MigrationController::migrateTo(std::vector<CoreId> dest)
     }
 
     const std::vector<CoreId> src = vm_.cfg_.guestCores;
-    const auto release_skipping_lost =
-        [this](const std::vector<CoreId>& cores) {
-            if (!planner_)
-                return;
-            std::vector<CoreId> back;
-            for (CoreId c : cores) {
-                if (!vm_.isLostCore(c))
-                    back.push_back(c);
-            }
-            if (!back.empty())
-                planner_->release(back);
-        };
 
     bool abort_seen = false;
     Tick backoff = cfg_.retryBackoff;
@@ -405,11 +349,11 @@ MigrationController::migrateTo(std::vector<CoreId> dest)
                     sim::FaultSite::MigrationAbort);
             }
             committed_.inc();
-            release_skipping_lost(src);
+            vm_.releaseCores(planner_, src);
             co_return MigrateResult::Committed;
         }
         if (att_refused) {
-            release_skipping_lost(dest);
+            vm_.releaseCores(planner_, dest);
             refused_.inc();
             co_return MigrateResult::Refused;
         }
@@ -421,7 +365,7 @@ MigrationController::migrateTo(std::vector<CoreId> dest)
     sim::warn("%s: migration rolled back after %d attempts; realm "
               "intact on its source cores", name.c_str(),
               cfg_.maxAttempts);
-    release_skipping_lost(dest);
+    vm_.releaseCores(planner_, dest);
     rolledBack_.inc();
     co_return MigrateResult::RolledBack;
 }

@@ -8,7 +8,8 @@
  * paper anticipates. The MigrationController drives one GappedVm
  * through the RMM's migration RMIs as a fault-tolerant flow:
  *
- *   pause (bounded)   -> trySuspend: park every vCPU run loop
+ *   pause (bounded)   -> suspend(parkDeadline): park every vCPU run
+ *                        loop
  *   prepare           -> rmm::migratePrepare snapshots granules+bindings
  *   copy (resumable)  -> delegate a destination window, batched
  *                        migrateCopy with stall retry/backoff
@@ -28,8 +29,9 @@
  * are released and undelegated, bindings restored, monitors respawned
  * on the source cores, and the guest resumes as if nothing happened.
  * A realm is never stranded mid-flight and no granule leaks. A hung
- * monitor (trySuspend timeout) refuses the migration; terminate() is
- * the caller's escalation, exactly as for any other hang.
+ * monitor (a suspend(parkDeadline) timeout) refuses the migration;
+ * terminate() is the caller's escalation, exactly as for any other
+ * hang.
  */
 
 #ifndef CG_CORE_MIGRATION_HH

@@ -199,7 +199,7 @@ TEST_F(RebindFixture, MigrationBusyIsNotMistakenForRateLimit)
 
     int susp = -1;
     sim.spawn("susp", [](GappedVm& g, int& out) -> Proc<void> {
-        out = (co_await g.trySuspend(GappedVm::parkDeadline)) ? 1 : 0;
+        out = (co_await g.suspend(GappedVm::parkDeadline)) ? 1 : 0;
     }(*gapped, susp));
     sim.runFor(100 * msec);
     ASSERT_EQ(susp, 1);
