@@ -21,17 +21,26 @@
  * simulated time and counters, so two same-seed runs diff clean —
  * scripts/ci.sh replays the smoke mode twice and compares.
  *
- *   --sim-hours <h>   simulated soak length (default 2.0)
+ *   --sim-hours <h>   simulated soak length (default 2.0; finite,
+ *                     at least one simulated second)
  *   --ops <n>         stop after n churn ops instead (0 = by time)
  *   --seed <n>        soak RNG / testbed seed
- *   --quick           ~60 simulated seconds (the ctest smoke mode)
+ *   --quick           360 simulated seconds (0.1 h; the ctest smoke
+ *                     mode): long enough to commit migrations and
+ *                     run terminates, which the smoke gates on
  *
- * plus the common harness flags (bench/common.hh). Without --faults /
- * --check the soak arms its own all-site plan and checker.
+ * plus the common harness flags (bench/common.hh). A malformed soak
+ * flag prints the usage line and exits 2. Without --faults / --check
+ * the soak arms its own all-site plan and checker.
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
@@ -79,6 +88,7 @@ constexpr int kHostCores = 2;
 constexpr int kCoresPerVm = 2;
 constexpr int kMaxLive = 4;
 constexpr Tick kOpGap = 2 * sim::sec;
+constexpr Tick kQuickHorizon = 360 * sim::sec;
 constexpr Tick kOpDeadline = 30 * sim::sec;
 constexpr int kCheckpointEvery = 16;
 /** Drift ceiling: checker events per churn op (loose; a feedback
@@ -156,6 +166,45 @@ hotplugRoundTrip(host::Kernel& k, sim::CoreId c, bool& done)
     done = true;
 }
 
+[[noreturn]] void
+usage(const char* argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--sim-hours <h>] [--ops <n>] [--seed <n>] "
+                 "[--json <path>] [--stats <path>] [--trace <path>] "
+                 "[--faults <plan>] [--fault-seed <n>] [--check] "
+                 "[--check-abort] [--quick]\n",
+                 argv0);
+    std::exit(2);
+}
+
+/** Whole-string unsigned integer (decimal, 0x-hex or 0-octal). */
+bool
+parseCount(const char* s, std::uint64_t& out)
+{
+    if (*s < '0' || *s > '9')
+        return false; // no sign, no leading space, not empty
+    char* end = nullptr;
+    errno = 0;
+    out = std::strtoull(s, &end, 0);
+    return errno == 0 && *end == '\0';
+}
+
+/** Whole-string soak length: finite, at least one simulated second,
+ * and short enough that the horizon in ticks fits in a Tick. */
+bool
+parseHours(const char* s, double& out)
+{
+    char* end = nullptr;
+    errno = 0;
+    out = std::strtod(s, &end);
+    if (end == s || *end != '\0' || errno != 0 || !std::isfinite(out))
+        return false;
+    const double seconds = out * 3600.0;
+    return seconds >= 1.0 &&
+           seconds < static_cast<double>(sim::maxTick / sim::sec);
+}
+
 struct Tally {
     std::uint64_t ops = 0;
     std::uint64_t creates = 0;
@@ -186,19 +235,24 @@ main(int argc, char** argv)
     std::vector<char*> rest;
     rest.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--sim-hours") == 0 && i + 1 < argc)
-            sim_hours = std::strtod(argv[++i], nullptr);
-        else if (std::strcmp(argv[i], "--ops") == 0 && i + 1 < argc)
-            max_ops = std::strtoull(argv[++i], nullptr, 0);
-        else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
-            seed = std::strtoull(argv[++i], nullptr, 0);
-        else
+        const bool has_value = i + 1 < argc;
+        if (std::strcmp(argv[i], "--sim-hours") == 0) {
+            if (!has_value || !parseHours(argv[++i], sim_hours))
+                usage(argv[0]);
+        } else if (std::strcmp(argv[i], "--ops") == 0) {
+            if (!has_value || !parseCount(argv[++i], max_ops))
+                usage(argv[0]);
+        } else if (std::strcmp(argv[i], "--seed") == 0) {
+            if (!has_value || !parseCount(argv[++i], seed))
+                usage(argv[0]);
+        } else {
             rest.push_back(argv[i]);
+        }
     }
     cg::bench::initHarness(static_cast<int>(rest.size()), rest.data());
 
     const Tick soak_end = cg::bench::quick()
-                              ? 60 * sim::sec
+                              ? kQuickHorizon
                               : static_cast<Tick>(sim_hours * 3600.0) *
                                     sim::sec;
     cg::bench::banner(
@@ -231,7 +285,12 @@ main(int argc, char** argv)
     }
 
     CorePlanner planner(bed.machine(), host::CpuMask::firstN(kHostCores));
-    bed.spawnStart(); // no VMs yet: opens started() for the workers
+    // No VMs yet: startAll() only opens started() for the workers.
+    // Run it now, or it would also start the first churn VM that
+    // op_create adds before the simulation first runs — a second
+    // start() of that VM.
+    bed.spawnStart();
+    bed.run(bed.sim().now());
 
     std::mt19937_64 rng(seed);
     std::vector<std::unique_ptr<Slot>> live;
