@@ -1,5 +1,6 @@
 # Validates ext_soak_churn's own flag parsing: each malformed value
-# must exit 2 with a usage line that names the soak flags.
+# must exit 2 with a usage line that names the soak flags, and a
+# well-formed set must run.
 # Run as: cmake -DSOAK=<path to ext_soak_churn> -P check_soak_flags.cmake
 
 if(NOT DEFINED SOAK)
@@ -21,5 +22,16 @@ foreach(args "--sim-hours;abc" "--sim-hours;-1" "--seed;xyz")
             "${err}")
     endif()
 endforeach()
+
+# Well-formed flags run: seed 1 creates a VM on its first op, which
+# must start once (the testbed's own startAll() has already run).
+execute_process(COMMAND "${SOAK}" --seed 1 --ops 1 --sim-hours 0.5
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "ext_soak_churn --seed 1 --ops 1: exit ${rc}:\n"
+        "${err}")
+endif()
 
 message(STATUS "soak flag validation looks good")

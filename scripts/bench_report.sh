@@ -8,8 +8,9 @@
 # Tracked alongside the 13 paper metrics:
 #   - sim_microbench events/sec (one row per microbenchmark), the raw
 #     DES-kernel throughput that bounds every sweep's wall-clock;
-#   - fig7_multi_vm wall-clock seconds (the heaviest paper bench:
-#     15 VMs), the end-to-end number a perf regression actually costs;
+#   - fig7_multi_vm wall-clock seconds (15 VMs, ~0.2 s), the one
+#     end-to-end wall-clock row so far; fig9_iozone (~36 s) is the
+#     heaviest paper bench and is not yet tracked;
 #   - table5_redis's open-loop serving-path sweep: p50/p99/p999 per
 #     offered-load point, each mode's p999-SLO knee, and the IPU
 #     backend's data-path exit count (must stay 0);
