@@ -269,10 +269,11 @@ struct RefusedDestResult {
     std::uint64_t hotplugOps = 0;
     std::uint64_t hotplugFailures = 0;
     std::vector<CoreId> coresOf;
-    std::vector<bool> online;             // cores 1..4
-    std::vector<cg::hw::World> world;     // cores 1..4
-    std::vector<int> owner;               // cores 1..4
-    std::vector<std::size_t> rounds;      // reads per vCPU
+    // Per core 1..4:
+    std::vector<bool> online;
+    std::vector<cg::hw::World> world;
+    std::vector<int> owner;
+    std::vector<std::size_t> rounds; // reads per vCPU
     bool shutdown = false;
 };
 
