@@ -309,7 +309,6 @@ VCpu::startGuest(std::string name, Proc<void> body)
     idleReported_ = false;
     // First resume happens when the vCPU is entered.
     GuestProcState& st = procState_[p.serial()];
-    st.needsResume = true;
     st.ready = true;
     readyQueue_.push_back(&p);
     if (entered_ && !currentProc_ && !stalled_)
@@ -481,7 +480,6 @@ VCpu::wake(Process& p)
     if (st.ready)
         return; // already queued
     st.ready = true;
-    st.needsResume = true;
     readyQueue_.push_back(&p);
     if (entered_ && !currentProc_ && !stalled_) {
         pickNextGuestProc();
@@ -567,7 +565,6 @@ VCpu::onGuestRunEvent()
         st.wantsCpu = false;
         st.remaining = 0;
     }
-    st.needsResume = false;
     if (p.state() == Process::State::Blocked)
         p.wake(); // routes back into our wake() -> resumeNow
     else if (p.state() == Process::State::Ready)

@@ -182,7 +182,6 @@ class VCpu : public rmm::GuestContext,
         bool ready = false;
         Tick remaining = 0;
         bool wantsCpu = false;
-        bool needsResume = false;
     };
 
     hw::Machine& machine();

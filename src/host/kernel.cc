@@ -89,7 +89,6 @@ Kernel::createThread(std::string name, Proc<void> body, SchedClass cls,
         sim().spawnOn(std::move(name), *this, std::move(body), false);
     p.schedCookie = &t;
     t.proc_ = &p;
-    t.needsResume_ = true;
     enqueue(t);
     return t;
 }
@@ -154,7 +153,6 @@ Kernel::wake(Process& p)
     }
     if (t.queued_)
         return; // redundant wake
-    t.needsResume_ = true;
     enqueue(t);
 }
 
@@ -171,7 +169,6 @@ Kernel::detach(Process& p)
         t.guestRun_ = nullptr;
     }
     t.wantsCpu_ = false;
-    t.needsResume_ = false;
 }
 
 void
@@ -191,7 +188,6 @@ Kernel::yieldCurrent(Process& p)
     Thread& t = threadOf(p);
     CG_ASSERT(t.onCpu_, "yield from a thread that is not running");
     const CoreId c = t.lastCore_;
-    t.needsResume_ = true;
     stopRunning(c, true);
     scheduleDispatch(c);
 }
@@ -281,7 +277,6 @@ Kernel::finishGuestRun(Thread& t)
     } else {
         // The thread was preempted; the guest is already paused. Just
         // arrange for the coroutine to resume at its next dispatch.
-        t.needsResume_ = true;
         if (!t.queued_)
             enqueue(t);
     }
@@ -549,7 +544,6 @@ Kernel::onRunEvent(CoreId c)
     }
     t->wantsCpu_ = false;
     t->remaining_ = 0;
-    t->needsResume_ = false;
     Process& p = t->process();
     // Resume the coroutine: it may ask for more CPU (stays current),
     // block (core goes idle / redispatches), or finish (detach).
@@ -614,7 +608,6 @@ Kernel::migrateThreadsAway(CoreId c)
     CoreSched& cs = cores_[static_cast<size_t>(c)];
     if (cs.current) {
         Thread& t = *cs.current;
-        t.needsResume_ = t.needsResume_ || !t.wantsCpu_;
         stopRunning(c, false);
         enqueue(t); // offline core is excluded by pickCore
     }

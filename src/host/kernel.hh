@@ -91,7 +91,6 @@ class Thread
     SchedClass schedClass() const { return cls_; }
     CpuMask affinity() const { return affinity_; }
     CoreId lastCore() const { return lastCore_; }
-    bool onCpu() const { return onCpu_; }
     bool done() const;
 
     /** Change affinity; a queued thread may migrate at next dispatch. */
@@ -117,7 +116,6 @@ class Thread
     bool queued_ = false;  ///< sitting in a runqueue
     Tick remaining_ = 0;   ///< outstanding CPU demand for current Compute
     bool wantsCpu_ = false; ///< has an unfinished Compute outstanding
-    bool needsResume_ = false; ///< coroutine must resume once on-CPU
     GuestExecutor* guestRun_ = nullptr; ///< in guest mode (KVM_RUN)
     bool guestEndPending_ = false; ///< exit-ready event scheduled
 };
