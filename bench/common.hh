@@ -20,6 +20,8 @@
 #ifndef CG_BENCH_COMMON_HH
 #define CG_BENCH_COMMON_HH
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -87,6 +89,18 @@ writeJsonReport()
 
 } // namespace detail
 
+/** Whole-string unsigned integer (decimal, 0x-hex or 0-octal). */
+inline bool
+parseCount(const char* s, std::uint64_t& out)
+{
+    if (*s < '0' || *s > '9')
+        return false; // no sign, no leading space, not empty
+    char* end = nullptr;
+    errno = 0;
+    out = std::strtoull(s, &end, 0);
+    return errno == 0 && *end == '\0';
+}
+
 /**
  * Parse common harness flags and register the JSON report writer to
  * run at exit. Call first in main().
@@ -140,8 +154,8 @@ initHarness(int argc, char** argv)
                 std::exit(0);
             }
         } else if (std::strcmp(argv[i], "--fault-seed") == 0 &&
-                   i + 1 < argc) {
-            fault_seed = std::strtoull(argv[++i], nullptr, 0);
+                   i + 1 < argc && parseCount(argv[i + 1], fault_seed)) {
+            ++i;
         } else if (std::strcmp(argv[i], "--check") == 0) {
             check_requested = true;
         } else if (std::strcmp(argv[i], "--check-abort") == 0) {
