@@ -24,7 +24,8 @@ foreach(args "--sim-hours;abc" "--sim-hours;-1" "--seed;xyz")
 endforeach()
 
 # Well-formed flags run: seed 1 creates a VM on its first op, which
-# must start once (the testbed's own startAll() has already run).
+# must start once (spawnStart() starts only the VMs that exist when it
+# is called, and the soak calls it before any).
 execute_process(COMMAND "${SOAK}" --seed 1 --ops 1 --sim-hours 0.5
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out

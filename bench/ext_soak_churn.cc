@@ -57,6 +57,7 @@ namespace guest = cg::guest;
 namespace host = cg::host;
 namespace check = cg::check;
 using namespace cg::workloads;
+using cg::bench::parseCount;
 using cg::core::CorePlanner;
 using cg::core::MigrateResult;
 using cg::core::MigrationController;
@@ -178,18 +179,6 @@ usage(const char* argv0)
     std::exit(2);
 }
 
-/** Whole-string unsigned integer (decimal, 0x-hex or 0-octal). */
-bool
-parseCount(const char* s, std::uint64_t& out)
-{
-    if (*s < '0' || *s > '9')
-        return false; // no sign, no leading space, not empty
-    char* end = nullptr;
-    errno = 0;
-    out = std::strtoull(s, &end, 0);
-    return errno == 0 && *end == '\0';
-}
-
 /** Whole-string soak length: finite, at least one simulated second,
  * and short enough that the horizon in ticks fits in a Tick. */
 bool
@@ -285,12 +274,9 @@ main(int argc, char** argv)
     }
 
     CorePlanner planner(bed.machine(), host::CpuMask::firstN(kHostCores));
-    // No VMs yet: startAll() only opens started() for the workers.
-    // Run it now, or it would also start the first churn VM that
-    // op_create adds before the simulation first runs — a second
-    // start() of that VM.
+    // No VMs yet: spawnStart() only opens started() for the workers;
+    // every churn VM is started by op_create itself.
     bed.spawnStart();
-    bed.run(bed.sim().now());
 
     std::mt19937_64 rng(seed);
     std::vector<std::unique_ptr<Slot>> live;

@@ -27,11 +27,11 @@ GappedVm::GappedVm(vmm::KvmVm& kvm, ExitDoorbell& doorbell,
       realm_(kvm.realmId()),
       doorbell_(doorbell),
       cfg_(std::move(cfg)),
-      syncRpc_(kvm.kernel().machine(), monitorWork_),
-      transport_(syncRpc_)
+      syncRpc_(kvm.kernel().machine(), monitorWork_)
 {
-    if (!kvm_.rmm() || realm_ < 0)
-        sim::fatal("GappedVm needs a realm-attached KvmVm");
+    if (!kvm_.rmm() || realm_ < 0 ||
+        kvm_.config().mode != vmm::VmMode::SharedCoreCvm)
+        sim::fatal("GappedVm needs a realm-attached SharedCoreCvm KvmVm");
     const int n = kvm_.guestVm().numVcpus();
     if (static_cast<int>(cfg_.guestCores.size()) != n) {
         sim::fatal("GappedVm: %d dedicated cores for %d vCPUs",
@@ -43,12 +43,15 @@ GappedVm::GappedVm(vmm::KvmVm& kvm, ExitDoorbell& doorbell,
     for (int i = 0; i < n; ++i) {
         slots_.push_back(std::make_unique<RunSlot>(
             kvm_.kernel().machine(), monitorWork_));
-        parks_.push_back(std::make_unique<Park>());
         monGen_.push_back(0);
     }
     monitorProcs_.resize(static_cast<size_t>(n), nullptr);
-    // Short RMI calls now travel by cross-core RPC.
-    kvm_.attachRealm(rmm_, realm_, &transport_);
+    // RMI calls, REC enter included, now travel by cross-core RPC; the
+    // vCPU threads stay on the host cores, FIFO unless they poll.
+    kvm_.attachRealm(rmm_, realm_, this);
+    kvm_.setVcpuPlacement(cfg_.busyWaitRun ? host::SchedClass::Fair
+                                           : host::SchedClass::Fifo,
+                          cfg_.hostCores);
     // Host-initiated exits target the REC's dedicated core directly.
     kvm_.setKickOverride([this](int idx) {
         kvm_.kernel().machine().gic().sendSgi(
@@ -211,71 +214,23 @@ GappedVm::routeDirectIrqs()
 void
 GappedVm::killHostThreads()
 {
-    for (host::Thread* t : vcpuThreads_) {
-        if (t && !t->done())
-            t->process().kill();
-    }
+    kvm_.stop();
     if (wakeupThread_ && !wakeupThread_->done())
         wakeupThread_->process().kill();
 }
 
 void
-GappedVm::requestPark(int idx)
-{
-    Park& park = *parks_[static_cast<size_t>(idx)];
-    park.requested = true;
-    park.resume.reset();
-    if (kvm_.guestVm().vcpu(idx).entered()) {
-        kvm_.kernel().machine().gic().sendSgi(
-            cfg_.guestCores[static_cast<size_t>(idx)], kickSgi);
-    }
-}
-
-void
 GappedVm::requestParkAll()
 {
-    // vCPUs that already shut down have no run loop to park.
-    for (int i = 0; i < kvm_.guestVm().numVcpus(); ++i) {
-        if (!vcpuThreads_[static_cast<size_t>(i)]->done())
-            requestPark(i);
-    }
-}
-
-sim::Proc<bool>
-GappedVm::awaitPark(int idx, Tick deadline)
-{
-    Park& park = *parks_[static_cast<size_t>(idx)];
-    if (deadline == 0) {
-        while (!park.parked)
-            co_await park.parkedNotify.wait();
-        co_return true;
-    }
-    sim::Simulation& sim = kvm_.kernel().machine().sim();
-    while (!park.parked) {
-        const Tick limit = sim.now() + deadline;
-        const sim::EventId timer = sim.queue().scheduleIn(
-            deadline, [&park] { park.parkedNotify.notifyAll(); });
-        co_await park.parkedNotify.wait();
-        sim.queue().cancel(timer);
-        if (!park.parked && sim.now() >= limit)
-            co_return false;
-    }
-    co_return true;
-}
-
-void
-GappedVm::unpark(int idx)
-{
-    Park& park = *parks_[static_cast<size_t>(idx)];
-    park.requested = false;
-    park.resume.open();
+    for (int i = 0; i < kvm_.guestVm().numVcpus(); ++i)
+        kvm_.requestPark(i);
 }
 
 void
 GappedVm::unparkAll()
 {
     for (int i = 0; i < kvm_.guestVm().numVcpus(); ++i)
-        unpark(i);
+        kvm_.unpark(i);
 }
 
 sim::Proc<bool>
@@ -285,7 +240,6 @@ GappedVm::start()
     started_ = true;
     host::Kernel& kernel = kvm_.kernel();
     hw::Machine& machine = kernel.machine();
-    const int n = kvm_.guestVm().numVcpus();
 
     // Dedicate the guest cores: hotplug them out of the host and hand
     // them to the monitor in realm world (section 4.2). A core that
@@ -314,11 +268,11 @@ GappedVm::start()
         started_ = false;
         co_return false;
     }
-    for (int i = 0; i < n; ++i)
+    for (int i = 0; i < kvm_.guestVm().numVcpus(); ++i)
         spawnMonitor(i);
     routeDirectIrqs();
 
-    // Host side: wake-up thread plus one FIFO thread per vCPU. The
+    // Host side: wake-up thread plus KvmVm's vCPU threads. The
     // doorbell sets a level-triggered flag: rings can coalesce while
     // the wake-up thread is mid-sweep.
     doorbellSub_ = doorbell_.subscribe(doorbellTarget_, [this] {
@@ -329,20 +283,7 @@ GappedVm::start()
         sim::strFormat("%s/wakeup", kvm_.guestVm().name().c_str()),
         wakeupThreadBody(), host::SchedClass::Fifo, cfg_.hostCores);
     wakeupThread_->footprint = 32;
-    kvm_.setAliveVcpus(n);
-    for (int i = 0; i < n; ++i) {
-        VCpu& v = kvm_.guestVm().vcpu(i);
-        v.setTickPeriod(kvm_.guestVm().config().tickPeriod);
-        host::Thread& t = kernel.createThread(
-            sim::strFormat("%s/vcpu%d-thread",
-                           kvm_.guestVm().name().c_str(), i),
-            vcpuThreadBody(i),
-            cfg_.busyWaitRun ? host::SchedClass::Fair
-                             : host::SchedClass::Fifo,
-            cfg_.hostCores);
-        t.footprint = kvm_.config().vcpuThreadFootprint;
-        vcpuThreads_.push_back(&t);
-    }
+    kvm_.start();
     co_return true;
 }
 
@@ -363,7 +304,7 @@ GappedVm::teardown()
     // per-core side channel core gapping exists to close.
     for (sim::CoreId core : cfg_.guestCores) {
         scrubForHandback(machine, core, guest_domain,
-                         cfg_.verifyScrubs, &scrubRepairs_);
+                         rmm_.config().verifyScrubs, &scrubRepairs_);
         co_await returnCore(core);
     }
     rmm_.realmDestroy(realm_);
@@ -385,9 +326,7 @@ GappedVm::terminate()
     const Tick deadline =
         machine.sim().faults().armed() ? parkDeadline : 0;
     for (int i = 0; i < n; ++i) {
-        if (vcpuThreads_[static_cast<size_t>(i)]->done())
-            continue;
-        if (co_await awaitPark(i, deadline))
+        if (co_await kvm_.awaitPark(i, deadline))
             continue;
         machine.sim().faults().noteDetected(
             sim::FaultSite::MonitorHang);
@@ -405,8 +344,7 @@ GappedVm::terminate()
             monitorProcs_[static_cast<size_t>(i)] = nullptr;
         }
         rmm_.recForceStop(realm_, i);
-        if (!vcpuThreads_[static_cast<size_t>(i)]->done())
-            vcpuThreads_[static_cast<size_t>(i)]->process().kill();
+        kvm_.vcpuThread(i).process().kill();
         hangReclaims_.inc();
         machine.sim().faults().noteRecovered(
             sim::FaultSite::MonitorHang);
@@ -572,60 +510,40 @@ GappedVm::wakeupThreadBody()
     }
 }
 
-sim::Proc<void>
-GappedVm::vcpuThreadBody(int idx)
+sim::Proc<rmm::RmiStatus>
+GappedVm::call(std::function<rmm::RmiStatus()> op)
+{
+    return syncRpc_.call(std::move(op));
+}
+
+sim::Proc<rmm::RecRunResult>
+GappedVm::run(vmm::KvmVm&, int idx, rmm::RecEnterArgs args)
 {
     RunSlot& slot = *slots_[static_cast<size_t>(idx)];
     host::Kernel& kernel = kvm_.kernel();
     hw::Machine& machine = kernel.machine();
     const hw::Costs& costs = machine.costs();
-
-    Park& park = *parks_[static_cast<size_t>(idx)];
-    for (;;) {
-        if (park.requested) {
-            // A rebind is in progress: hold the run loop here until
-            // the vCPU has a new dedicated core.
-            park.parked = true;
-            park.parkedNotify.notifyAll();
-            co_await park.resume.wait();
-            park.parked = false;
+    const Tick posted_at = machine.sim().now();
+    slot.post(std::move(args));
+    if (cfg_.busyWaitRun) {
+        // Quarantine-style: stay runnable, poll, yield. With many
+        // vCPU threads this saturates the host core (fig. 6).
+        while (!slot.responseReady()) {
+            co_await Compute{machine.cost(costs.pollReaction)};
+            co_await kernel.yield();
         }
-        rmm::RecEnterArgs args;
-        args.injectVirqs = kvm_.drainInjections(idx);
-        args.mmioResponse = kvm_.takeMmioResponse(idx);
-        const Tick posted_at = machine.sim().now();
-        slot.post(std::move(args));
-        if (cfg_.busyWaitRun) {
-            // Quarantine-style: stay runnable, poll, yield. With many
-            // vCPU threads this saturates the host core (fig. 6).
-            while (!slot.responseReady()) {
-                co_await Compute{machine.cost(costs.pollReaction)};
-                co_await kernel.yield();
-            }
-        } else {
-            while (!slot.responseReady())
-                co_await slot.hostNotify().wait();
-            // Futex-style block/unblock cost of the blocking design.
-            co_await Compute{machine.cost(costs.threadBlockUnblock)};
-        }
-        rmm::RecRunResult res = co_await slot.takeResponse();
-        runCallRtt_.sample(machine.sim().now() - posted_at);
-        // The run call returns to the userspace VMM, which decides how
-        // to handle the exit before issuing the next call.
-        co_await Compute{machine.cost(costs.vmmRunLoop)};
-        if (res.status != rmm::RmiStatus::Success) {
-            sim::warn("%s/vcpu%d: run call failed: %s",
-                      kvm_.guestVm().name().c_str(), idx,
-                      rmm::rmiStatusName(res.status));
-            break;
-        }
-        co_await kvm_.applyExit(idx, res.exit);
-        if (res.exit.reason == ExitReason::Shutdown)
-            break;
-        if (res.exit.reason == ExitReason::Wfi)
-            co_await kvm_.waitRunnable(idx);
+    } else {
+        while (!slot.responseReady())
+            co_await slot.hostNotify().wait();
+        // Futex-style block/unblock cost of the blocking design.
+        co_await Compute{machine.cost(costs.threadBlockUnblock)};
     }
-    kvm_.notifyVcpuShutdown();
+    rmm::RecRunResult res = co_await slot.takeResponse();
+    runCallRtt_.sample(machine.sim().now() - posted_at);
+    // The run call returns to the userspace VMM, which decides how
+    // to handle the exit before issuing the next call.
+    co_await Compute{machine.cost(costs.vmmRunLoop)};
+    co_return res;
 }
 
 sim::Proc<bool>
@@ -635,9 +553,7 @@ GappedVm::suspend(Tick deadline)
     suspended_ = true;
     requestParkAll();
     for (int i = 0; i < kvm_.guestVm().numVcpus(); ++i) {
-        if (vcpuThreads_[static_cast<size_t>(i)]->done())
-            continue; // guest already shut down
-        if (!co_await awaitPark(i, deadline)) {
+        if (!co_await kvm_.awaitPark(i, deadline)) {
             // Roll the parks back: the VM keeps running; the caller
             // escalates (terminate() reclaims hung monitors by force).
             suspended_ = false;
@@ -679,8 +595,8 @@ GappedVm::rebindVcpu(int idx, sim::CoreId new_core)
 
     // 1. Park the host-side run loop: ask, kick the guest out of its
     //    current run call, and wait for the thread to reach the gate.
-    requestPark(idx);
-    co_await awaitPark(idx, 0);
+    kvm_.requestPark(idx);
+    co_await kvm_.awaitPark(idx, 0);
 
     // 2. Retire the old monitor loop.
     co_await retireMonitors(idx, idx + 1);
@@ -729,7 +645,7 @@ GappedVm::rebindVcpu(int idx, sim::CoreId new_core)
         routeDirectIrqs();
     }
     spawnMonitor(idx);
-    unpark(idx);
+    kvm_.unpark(idx);
     if (!ok)
         co_return false;
 

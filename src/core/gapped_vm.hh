@@ -2,7 +2,8 @@
  * @file
  * The core-gapped confidential VM runner — the paper's primary
  * contribution assembled: dedicated cores taken from the host via
- * hotplug and handed to the security monitor, vCPU run calls as
+ * hotplug and handed to the security monitor, and the cross-core RMI
+ * transport that KvmVm's run loop drives: vCPU run calls as
  * asynchronous cross-core RPCs with IPI-notified wake-up (fig. 4),
  * short RMM calls as busy-wait synchronous RPCs, and a kick path that
  * targets the REC's bound core.
@@ -51,32 +52,32 @@ struct GappedVmConfig {
      * (kept reserved) so they are never handed out again (I7).
      */
     CorePlanner* planner = nullptr;
-    /**
-     * Scrub verification at teardown/migration handback: audit the
-     * core's tagged structures after the scrub point and re-flush if
-     * residue remains (detect-and-repair for scrub-skip injections).
-     * Default off so the checker's must-fire tests still observe a
-     * skipped scrub as a dirty-handback leak edge; long fault-armed
-     * soaks turn it on (see rmm::RmmConfig::verifyScrubs).
-     */
-    bool verifyScrubs = false;
 };
 
-class GappedVm
+class GappedVm : public vmm::RmiTransport
 {
   public:
     /**
      * @p kvm must be a SharedCoreCvm-mode KvmVm with a realm attached
-     * via createRealmFor(); this runner replaces its vCPU threads and
-     * its RMI transport with the cross-core machinery.
+     * via createRealmFor(); this runner becomes its RMI transport and
+     * kick path, and pins its vCPU threads to the host cores.
      */
     GappedVm(vmm::KvmVm& kvm, ExitDoorbell& doorbell,
              GappedVmConfig cfg);
-    ~GappedVm();
+    ~GappedVm() override;
+
+    /** @{ vmm::RmiTransport: short calls by synchronous RPC, REC
+     * enter by the asynchronous run call (fig. 4). */
+    sim::Proc<rmm::RmiStatus>
+    call(std::function<rmm::RmiStatus()> op) override;
+    sim::Proc<rmm::RecRunResult> run(vmm::KvmVm& vm, int vcpu,
+                                     rmm::RecEnterArgs args) override;
+    /** @} */
 
     /**
      * Bring the CVM up: offline the dedicated cores (hotplug), hand
-     * them to the monitor, and start the host-side threads. Await from
+     * them to the monitor, and start the host-side threads (the
+     * wake-up thread, then KvmVm's vCPU threads). Await from
      * a process not running on the dedicated cores.
      * @return false if a dedicated core could not be offlined (after
      * one retry): every core taken so far is handed back, planner
@@ -100,7 +101,6 @@ class GappedVm
      */
     sim::Proc<void> terminate();
 
-    vmm::KvmVm& kvm() { return kvm_; }
     sim::Gate& shutdownGate() { return kvm_.shutdownGate(); }
     SyncRpcQueue& syncRpc() { return syncRpc_; }
 
@@ -171,10 +171,6 @@ class GappedVm
     /** Host-side async run-call round trip (post to response taken). */
     sim::LatencyStat& runCallRtt() { return runCallRtt_; }
 
-    /** Response visible to vCPU thread woken (the wake-up thread's
-     * contribution to the serving-path tail). */
-    sim::LatencyStat& wakeLatency() { return wakeLatency_; }
-
     /** @{ Adaptive-spin outcome counts (wakeSpinMax > 0 only). */
     std::uint64_t wakeSpinHits() const { return wakeSpinHits_.value(); }
     std::uint64_t wakeSpinSleeps() const
@@ -205,16 +201,9 @@ class GappedVm
     /** Drives migrations through this runner's lifecycle helpers
      * below; see core/migration.hh. */
     friend class MigrationController;
-    struct Park {
-        bool requested = false;
-        bool parked = false;
-        sim::Notify parkedNotify;
-        sim::Gate resume;
-    };
 
     sim::Proc<void> monitorCoreLoop(int idx, sim::CoreId core,
                                     std::uint64_t gen);
-    sim::Proc<void> vcpuThreadBody(int idx);
     sim::Proc<void> wakeupThreadBody();
 
     /** @{ The dedicated-core lifecycle (section 4.2), shared by
@@ -233,12 +222,8 @@ class GappedVm
     void routeDirectIrqs();
     /** Kill the vCPU threads, then the wake-up thread. */
     void killHostThreads();
-    /** Park requests kick the vCPU out of the guest; awaitPark waits
-     * unbounded for @p deadline 0, else false once it passes. */
-    void requestPark(int idx);
-    void requestParkAll(); ///< every vCPU not yet shut down
-    sim::Proc<bool> awaitPark(int idx, sim::Tick deadline);
-    void unpark(int idx);
+    /** KvmVm's park gate, for every vCPU. */
+    void requestParkAll();
     void unparkAll();
     /** Release @p cores to @p planner (if any), minus lost cores. */
     void releaseCores(CorePlanner* planner,
@@ -257,22 +242,19 @@ class GappedVm
     GappedVmConfig cfg_;
     sim::Notify monitorWork_;
     SyncRpcQueue syncRpc_;
-    SyncRpcTransport transport_;
     std::vector<std::unique_ptr<RunSlot>> slots_;
-    std::vector<host::Thread*> vcpuThreads_;
     host::Thread* wakeupThread_ = nullptr;
     sim::Notify wakeupNotify_;
     bool doorbellPending_ = false;
     std::uint64_t doorbellSub_ = 0;
     std::vector<sim::Process*> monitorProcs_;
     std::vector<std::uint64_t> monGen_;
-    std::vector<std::unique_ptr<Park>> parks_;
     bool stopMonitors_ = false;
     bool started_ = false;
     sim::CoreId doorbellTarget_ = 0;
     sim::LatencyStat runToRun_;
     sim::LatencyStat runCallRtt_;
-    sim::LatencyStat wakeLatency_;
+    sim::LatencyStat wakeLatency_; ///< response visible -> vCPU woken
     sim::Counter wakeSpinHits_;
     sim::Counter wakeSpinSleeps_;
     /** Current adaptive spin budget (0 until first doorbell wait). */

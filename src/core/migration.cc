@@ -282,7 +282,8 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
     const sim::DomainId guest_domain = vm_.kvm_.guestVm().domain();
     for (CoreId core : src) {
         scrubForHandback(machine, core, guest_domain,
-                         vm_.cfg_.verifyScrubs, &vm_.scrubRepairs_);
+                         vm_.rmm_.config().verifyScrubs,
+                         &vm_.scrubRepairs_);
         if (machine.checker())
             machine.checker()->onMigrationHandback(core);
         co_await vm_.returnCore(core);

@@ -16,6 +16,10 @@
  *    and blocks; the monitor runs the guest, writes the exit record,
  *    and rings the doorbell; the wake-up thread unblocks the vCPU
  *    thread (table 2: 2757.6 ns; fig. 4).
+ *
+ * core::GappedVm is the vmm::RmiTransport built on them: its call()
+ * goes through the VM's SyncRpcQueue and its run() through the
+ * vCPU's RunSlot.
  */
 
 #ifndef CG_CORE_RPC_HH
@@ -30,7 +34,6 @@
 #include "hw/machine.hh"
 #include "rmm/rmm.hh"
 #include "sim/sync.hh"
-#include "vmm/kvm.hh"
 
 namespace cg::core {
 
@@ -121,22 +124,6 @@ class SyncRpcQueue
     /** In-flight wire events, cancelled if we are destroyed first. */
     std::vector<PendingPoke> pendingPokes_;
     std::uint64_t nextPokeToken_ = 1;
-};
-
-/** RmiTransport backed by a SyncRpcQueue (for KvmVm::cvmMapPage). */
-class SyncRpcTransport : public vmm::RmiTransport
-{
-  public:
-    explicit SyncRpcTransport(SyncRpcQueue& q) : queue_(q) {}
-
-    Proc<rmm::RmiStatus>
-    call(std::function<rmm::RmiStatus()> op) override
-    {
-        return queue_.call(std::move(op));
-    }
-
-  private:
-    SyncRpcQueue& queue_;
 };
 
 /** The per-vCPU asynchronous run-call mailbox (fig. 4). */

@@ -1,5 +1,7 @@
 #include "vmm/kvm.hh"
 
+#include <utility>
+
 #include "sim/simulation.hh"
 
 namespace cg::vmm {
@@ -8,10 +10,6 @@ using guest::VCpu;
 using rmm::ExitInfo;
 using rmm::ExitReason;
 using sim::Compute;
-
-/** Guest-run strategy for shared-core CVMs: consume vCPU-thread CPU. */
-static Proc<ExitInfo> sharedCvmGuestRun(host::Kernel& k,
-                                        rmm::GuestContext& g);
 
 KvmVm::KvmVm(host::Kernel& kernel, guest::Vm& vm, KickBroker& kicks,
              KvmConfig cfg)
@@ -22,7 +20,10 @@ KvmVm::KvmVm(host::Kernel& kernel, guest::Vm& vm, KickBroker& kicks,
       injQueue_(static_cast<size_t>(vm.numVcpus())),
       mmioResp_(static_cast<size_t>(vm.numVcpus())),
       nextGranule_((static_cast<std::uint64_t>(vm.domain()) + 1) << 32)
-{}
+{
+    for (int i = 0; i < vm.numVcpus(); ++i)
+        parks_.push_back(std::make_unique<Park>());
+}
 
 KvmVm::~KvmVm()
 {
@@ -47,10 +48,8 @@ KvmVm::registerStats(sim::StatRegistry& reg)
 void
 KvmVm::stop()
 {
-    for (host::Thread* t : threads_) {
-        if (t && !t->done())
-            t->process().kill();
-    }
+    for (host::Thread* t : threads_)
+        t->process().kill();
 }
 
 Tick
@@ -79,6 +78,13 @@ KvmVm::setKickOverride(std::function<void(int)> fn)
     kickOverride_ = std::move(fn);
 }
 
+void
+KvmVm::setVcpuPlacement(host::SchedClass cls, host::CpuMask affinity)
+{
+    cfg_.vcpuClass = cls;
+    cfg_.vcpuAffinity = affinity;
+}
+
 Proc<rmm::RmiStatus>
 LocalSmcTransport::call(std::function<rmm::RmiStatus()> op)
 {
@@ -90,6 +96,43 @@ LocalSmcTransport::call(std::function<rmm::RmiStatus()> op)
                      2 * machine_.cost(costs.mitigationFlush) +
                      machine_.cost(costs.rmiShortCall)};
     co_return op();
+}
+
+/** Guest-run strategy for shared-core CVMs: consume vCPU-thread CPU. */
+static Proc<ExitInfo>
+threadGuestRun(host::Kernel& k, rmm::GuestContext& g)
+{
+    auto& v = dynamic_cast<VCpu&>(g);
+    co_await k.runGuest(v);
+    co_return v.takeExit();
+}
+
+Proc<rmm::RecRunResult>
+LocalSmcTransport::run(KvmVm& vm, int vcpu, rmm::RecEnterArgs args)
+{
+    const hw::Costs& costs = machine_.costs();
+    sim::Simulation& sim = machine_.sim();
+    const auto i = static_cast<size_t>(vcpu);
+    if (lastExit_.size() <= i)
+        lastExit_.resize(i + 1, 0);
+    if (lastExit_[i] != 0)
+        vm.stats().runToRun.sample(sim.now() - lastExit_[i]);
+    // Guest execution must consume the vCPU thread's CPU time, so the
+    // RMM runs the guest through the scheduler-coupled strategy.
+    host::Kernel& k = vm.kernel();
+    rmm::GuestRunFn run_fn = [&k](rmm::GuestContext& g,
+                                  sim::CoreId) -> Proc<ExitInfo> {
+        return threadGuestRun(k, g);
+    };
+    // SMC into the RMM (the world switch + mitigation flush is
+    // charged by the kernel when the guest goes on/off the core).
+    const sim::CoreId c0 = vm.vcpuThread(vcpu).lastCore();
+    co_await Compute{machine_.cost(costs.smcRoundTrip) / 2};
+    rmm::RecRunResult res = co_await vm.rmm()->recEnter(
+        vm.realmId(), vcpu, std::move(args), c0, run_fn);
+    co_await Compute{machine_.cost(costs.smcRoundTrip) / 2};
+    lastExit_[i] = sim.now();
+    co_return res;
 }
 
 void
@@ -133,21 +176,59 @@ KvmVm::queueInjection(int vcpu, hw::IntId virq)
         v.runnerNotify().notifyAll();
 }
 
+void
+KvmVm::requestPark(int vcpu)
+{
+    Park& park = *parks_[static_cast<size_t>(vcpu)];
+    park.requested = true;
+    park.resume.reset();
+    VCpu& v = vm_.vcpu(vcpu);
+    if (!v.entered())
+        return;
+    if (kickOverride_)
+        kickOverride_(vcpu);
+    else
+        kicks_.kick(v);
+}
+
+Proc<bool>
+KvmVm::awaitPark(int vcpu, Tick deadline)
+{
+    Park& park = *parks_[static_cast<size_t>(vcpu)];
+    if (vcpuThread(vcpu).done())
+        co_return true; // shut down: no run loop left to park
+    if (deadline == 0) {
+        while (!park.parked)
+            co_await park.parkedNotify.wait();
+        co_return true;
+    }
+    sim::Simulation& sim = kernel_.sim();
+    while (!park.parked) {
+        const Tick limit = sim.now() + deadline;
+        const sim::EventId timer = sim.queue().scheduleIn(
+            deadline, [&park] { park.parkedNotify.notifyAll(); });
+        co_await park.parkedNotify.wait();
+        sim.queue().cancel(timer);
+        if (!park.parked && sim.now() >= limit)
+            co_return false;
+    }
+    co_return true;
+}
+
+void
+KvmVm::unpark(int vcpu)
+{
+    Park& park = *parks_[static_cast<size_t>(vcpu)];
+    park.requested = false;
+    park.resume.open();
+}
+
 std::vector<hw::IntId>
 KvmVm::drainInjections(int vcpu)
 {
     auto& q = injQueue_[static_cast<size_t>(vcpu)];
     std::vector<hw::IntId> out(q.begin(), q.end());
     q.clear();
-    return out;
-}
-
-std::optional<std::uint64_t>
-KvmVm::takeMmioResponse(int vcpu)
-{
-    auto& slot = mmioResp_[static_cast<size_t>(vcpu)];
-    auto out = slot;
-    slot.reset();
     return out;
 }
 
@@ -174,7 +255,7 @@ KvmVm::start()
         v.setTickPeriod(vm_.config().tickPeriod);
         Proc<void> body = cfg_.mode == VmMode::SharedCore
                               ? vcpuThreadShared(i)
-                              : vcpuThreadSharedCvm(i);
+                              : vcpuThreadCvm(i);
         host::Thread& t = kernel_.createThread(
             sim::strFormat("%s/vcpu%d-thread", vm_.name().c_str(), i),
             std::move(body), cfg_.vcpuClass, cfg_.vcpuAffinity);
@@ -220,7 +301,7 @@ KvmVm::applyExit(int idx, ExitInfo e)
         break;
       case ExitReason::PageFault:
         stats_.pageFaultExits.inc();
-        if (cfg_.mode == VmMode::SharedCoreCvm || rmm_)
+        if (rmm_)
             co_await cvmMapPage(e.addr);
         else
             co_await Compute{cost(2500 * sim::nsec)};
@@ -425,35 +506,26 @@ KvmVm::vcpuThreadShared(int idx)
 }
 
 Proc<void>
-KvmVm::vcpuThreadSharedCvm(int idx)
+KvmVm::vcpuThreadCvm(int idx)
 {
-    hw::Machine& m = kernel_.machine();
-    const hw::Costs& costs = m.costs();
-    host::Kernel& k = kernel_;
-    Tick last_exit = 0;
-    // Guest execution must consume this thread's CPU time, so the RMM
-    // runs the guest through the scheduler-coupled strategy.
-    rmm::GuestRunFn run_fn = [&k](rmm::GuestContext& g,
-                                  sim::CoreId) -> Proc<ExitInfo> {
-        return sharedCvmGuestRun(k, g);
-    };
+    Park& park = *parks_[static_cast<size_t>(idx)];
     for (;;) {
+        // The gate comes before the arguments: injections queued while
+        // parked must ride on the first run call after unpark.
+        if (park.requested) {
+            park.parked = true;
+            park.parkedNotify.notifyAll();
+            co_await park.resume.wait();
+            park.parked = false;
+        }
         rmm::RecEnterArgs args;
         args.injectVirqs = drainInjections(idx);
-        args.mmioResponse = takeMmioResponse(idx);
-        if (last_exit != 0)
-            stats_.runToRun.sample(kernel_.sim().now() - last_exit);
-        // SMC into the RMM (the world switch + mitigation flush is
-        // charged by the kernel when the guest goes on/off the core).
-        const sim::CoreId c0 = threads_[static_cast<size_t>(idx)]
-                                   ->lastCore();
-        co_await Compute{cost(costs.smcRoundTrip) / 2};
-        rmm::RecRunResult res = co_await rmm_->recEnter(
-            realmId_, idx, std::move(args), c0, run_fn);
-        co_await Compute{cost(costs.smcRoundTrip) / 2};
-        last_exit = kernel_.sim().now();
+        args.mmioResponse = std::exchange(
+            mmioResp_[static_cast<size_t>(idx)], std::nullopt);
+        rmm::RecRunResult res =
+            co_await transport_->run(*this, idx, std::move(args));
         if (res.status != rmm::RmiStatus::Success) {
-            sim::warn("%s/vcpu%d: REC enter failed: %s",
+            sim::warn("%s/vcpu%d: run call failed: %s",
                       vm_.name().c_str(), idx,
                       rmm::rmiStatusName(res.status));
             break;
@@ -465,14 +537,6 @@ KvmVm::vcpuThreadSharedCvm(int idx)
             co_await waitRunnable(idx);
     }
     onVcpuShutdown();
-}
-
-static Proc<ExitInfo>
-sharedCvmGuestRun(host::Kernel& k, rmm::GuestContext& g)
-{
-    auto& v = dynamic_cast<VCpu&>(g);
-    co_await k.runGuest(v);
-    co_return v.takeExit();
 }
 
 // ---------------------------------------------------------- realm setup

@@ -2,7 +2,7 @@
  * @file
  * The KVM + userspace-VMM model: thread-per-vCPU run loops, VM-exit
  * dispatch, MMIO emulation routing, virtual-GIC interrupt injection,
- * and (for confidential VMs) the same-core SMC transport into the RMM.
+ * and (for confidential VMs) the RMI transport into the RMM.
  *
  * Two shared-core modes live here:
  *  - SharedCore: a normal non-confidential VM — the baseline the
@@ -12,8 +12,10 @@
  *    the paper could not measure on real hardware; section 5.5 argues
  *    core gapping beats it — our EXPERIMENTS.md checks that claim).
  *
- * The core-gapped transport lives in src/core and reuses this file's
- * exit-handling logic.
+ * Every confidential VM is driven by one run loop (vcpuThreadCvm):
+ * the RmiTransport picks how REC enter reaches the monitor — a
+ * same-core SMC here, or the core-gapped cross-core run call that
+ * core::GappedVm implements.
  */
 
 #ifndef CG_VMM_KVM_HH
@@ -69,10 +71,13 @@ struct MmioRange {
     std::function<std::uint64_t(std::uint64_t addr, int len)> onRead;
 };
 
+class KvmVm;
+
 /**
  * How host-side RMI calls reach the security monitor: a same-core SMC
  * (baseline CCA: world switch + mitigation flushes, > 12.8 us in
- * table 2) or a cross-core synchronous RPC (core-gapped, 257.7 ns).
+ * table 2) or a cross-core RPC (core-gapped: 257.7 ns for a short
+ * call, 2757.6 ns for the asynchronous run call).
  */
 class RmiTransport
 {
@@ -82,9 +87,21 @@ class RmiTransport
     /** Execute @p op on the monitor, charging transport costs. */
     virtual Proc<rmm::RmiStatus>
     call(std::function<rmm::RmiStatus()> op) = 0;
+
+    /**
+     * REC enter (the run call) for vCPU @p vcpu of @p vm, issued from
+     * that vCPU's thread: enter the REC with @p args and return once
+     * it exits, charging transport costs.
+     */
+    virtual Proc<rmm::RecRunResult> run(KvmVm& vm, int vcpu,
+                                        rmm::RecEnterArgs args) = 0;
 };
 
-/** Same-core SMC transport: EL3 round trip plus mitigation flushes. */
+/**
+ * Same-core SMC transport: EL3 round trip plus mitigation flushes.
+ * Its run call executes the guest on the calling vCPU thread, and
+ * samples the VM's host-side run-to-run latency.
+ */
 class LocalSmcTransport : public RmiTransport
 {
   public:
@@ -93,8 +110,13 @@ class LocalSmcTransport : public RmiTransport
     Proc<rmm::RmiStatus>
     call(std::function<rmm::RmiStatus()> op) override;
 
+    Proc<rmm::RecRunResult> run(KvmVm& vm, int vcpu,
+                                rmm::RecEnterArgs args) override;
+
   private:
     hw::Machine& machine_;
+    /** Per vCPU: when its last run call returned (0 = never). */
+    std::vector<Tick> lastExit_;
 };
 
 struct KvmStats {
@@ -154,8 +176,20 @@ class KvmVm
      */
     void queueInjection(int vcpu, hw::IntId virq);
 
+    /**
+     * Run the vCPU threads in scheduling class @p cls on @p affinity
+     * (a core-gapped runner keeps them on its host cores).
+     */
+    void setVcpuPlacement(host::SchedClass cls, host::CpuMask affinity);
+
     /** Create and start the vCPU threads. */
     void start();
+
+    /** The thread of vCPU @p vcpu (after start()). */
+    host::Thread& vcpuThread(int vcpu)
+    {
+        return *threads_.at(static_cast<size_t>(vcpu));
+    }
 
     /** Opens once every vCPU has taken a Shutdown exit. */
     sim::Gate& shutdownGate() { return shutdownGate_; }
@@ -164,33 +198,21 @@ class KvmVm
     void stop();
 
     /**
-     * Exit-handling policy shared with the core-gapped runner: applies
-     * the host-side effect of @p e for @p vcpu and charges KVM costs.
-     * MMIO read results / future injections are left in the per-vCPU
-     * queues that the next entry consumes.
-     */
-    Proc<void> applyExit(int vcpu, rmm::ExitInfo e);
-
-    /** Block until the vCPU is worth re-entering (WFI semantics). */
-    Proc<void> waitRunnable(int vcpu);
-
-    /** Drain queued injections for args/LR installation. */
-    std::vector<hw::IntId> drainInjections(int vcpu);
-
-    /**
      * Replace the default vCPU-interruption path (KickBroker) — the
      * core-gapped runner targets the REC's dedicated core instead.
      */
     void setKickOverride(std::function<void(int vcpu)> fn);
 
-    /** Called when a vCPU takes its Shutdown exit (for custom runners). */
-    void notifyVcpuShutdown() { onVcpuShutdown(); }
-
-    /** Mark vCPUs alive before driving exits via a custom runner. */
-    void setAliveVcpus(int n) { aliveVcpus_ = n; }
-
-    /** Take (and clear) a pending MMIO read response. */
-    std::optional<std::uint64_t> takeMmioResponse(int vcpu);
+    /** @{ The park gate of the confidential run loop: a parked vCPU
+     * thread holds before building its next run call's arguments. */
+    /** Ask vCPU @p vcpu to park; kicks it out of the guest. */
+    void requestPark(int vcpu);
+    /** Wait until it parked (or shut down): unbounded for @p deadline
+     * 0, else false once @p deadline passes first. */
+    Proc<bool> awaitPark(int vcpu, Tick deadline);
+    /** Let a (requested or parked) vCPU run again. */
+    void unpark(int vcpu);
+    /** @} */
 
     /** @{ Transient-RMI retry policy. */
     /** Re-issues of one RMI call before giving up on it. */
@@ -200,8 +222,27 @@ class KvmVm
     /** @} */
 
   private:
+    struct Park {
+        bool requested = false;
+        bool parked = false;
+        sim::Notify parkedNotify;
+        sim::Gate resume;
+    };
+
     Proc<void> vcpuThreadShared(int idx);
-    Proc<void> vcpuThreadSharedCvm(int idx);
+    /** The one REC-enter loop, whatever the transport. */
+    Proc<void> vcpuThreadCvm(int idx);
+
+    /**
+     * Apply the host-side effect of exit @p e for @p vcpu and charge
+     * KVM costs. MMIO read results and future injections are left in
+     * the per-vCPU queues that the next entry consumes.
+     */
+    Proc<void> applyExit(int vcpu, rmm::ExitInfo e);
+    /** Block until the vCPU is worth re-entering (WFI semantics). */
+    Proc<void> waitRunnable(int vcpu);
+    /** Drain queued injections for args/LR installation. */
+    std::vector<hw::IntId> drainInjections(int vcpu);
     Proc<void> handleMmio(int idx, rmm::ExitInfo e);
     Proc<void> cvmMapPage(std::uint64_t ipa);
 
@@ -230,6 +271,7 @@ class KvmVm
     std::vector<std::deque<hw::IntId>> injQueue_;
     std::vector<std::optional<std::uint64_t>> mmioResp_;
     std::vector<host::Thread*> threads_;
+    std::vector<std::unique_ptr<Park>> parks_;
     std::function<void(int)> kickOverride_;
     sim::Gate shutdownGate_;
     int aliveVcpus_ = 0;

@@ -217,7 +217,6 @@ Testbed::createVmOn(const std::string& name,
         gcfg.busyWaitRun = cfg_.mode == RunMode::CoreGappedBusyWait;
         gcfg.wakeSpinMax = cfg_.wakeSpinMax;
         gcfg.planner = planner;
-        gcfg.verifyScrubs = cfg_.verifyScrubs;
         inst->gapped = std::make_unique<cg::core::GappedVm>(
             *inst->kvm, *doorbell_, gcfg);
     }
@@ -328,9 +327,11 @@ Testbed::addSriovNic(VmInstance& v, bool direct)
 }
 
 Proc<void>
-Testbed::startAll()
+Testbed::startQueued()
 {
-    for (auto& v : vms_) {
+    while (!toStart_.empty()) {
+        VmInstance* v = toStart_.front();
+        toStart_.pop_front();
         if (v->gapped) {
             if (!co_await v->gapped->start()) {
                 ++startFailures_;
@@ -347,12 +348,15 @@ Testbed::startAll()
 void
 Testbed::spawnStart()
 {
-    sim_->spawn("testbed-start", startAll());
+    for (auto& v : vms_)
+        toStart_.push_back(v.get());
+    sim_->spawn("testbed-start", startQueued());
 }
 
 void
 Testbed::destroyVm(VmInstance& v)
 {
+    std::erase(toStart_, &v);
     for (auto it = vms_.begin(); it != vms_.end(); ++it) {
         if (it->get() == &v) {
             vms_.erase(it);

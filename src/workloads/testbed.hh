@@ -13,6 +13,7 @@
 #ifndef CG_WORKLOADS_TESTBED_HH
 #define CG_WORKLOADS_TESTBED_HH
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -149,10 +150,11 @@ class Testbed
     void addMqNic(VmInstance& v) { addMqNic(v, MqNicOptions()); }
     /** @} */
 
-    /** Bring every VM up; opens started() when done. */
-    Proc<void> startAll();
-
-    /** Convenience: spawn startAll() as a process. */
+    /**
+     * Bring up, in a spawned process, exactly the VMs that exist at
+     * this call; started() opens when they are up. A VM created later
+     * is the caller's to start.
+     */
     void spawnStart();
 
     /** Open once every VM is running (workloads gate on this). */
@@ -191,6 +193,8 @@ class Testbed
     void destroyVm(VmInstance& v);
 
   private:
+    /** Start the VMs spawnStart() queued, then open started(). */
+    Proc<void> startQueued();
     rmm::RmmConfig rmmConfigFor(RunMode m) const;
     vmm::KvmConfig kvmConfigFor(RunMode m, host::CpuMask vcpu_mask) const;
 
@@ -205,6 +209,8 @@ class Testbed
     std::unique_ptr<vmm::NetworkFabric> fabric_;
     std::unique_ptr<vmm::Disk> disk_;
     std::vector<std::unique_ptr<VmInstance>> vms_;
+    /** Queued by spawnStart(), not started yet. */
+    std::deque<VmInstance*> toStart_;
     sim::Gate started_;
     int nextCore_ = 0;
     int startFailures_ = 0;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/simulation.hh"
@@ -135,4 +136,26 @@ TEST(TestbedGuards, CoreAccountingAcrossVms)
     EXPECT_EQ(a.guestCores.size() + b.guestCores.size(), 6u);
     // A ninth core does not exist.
     EXPECT_THROW(bed.createVm("c", 2), sim::FatalError);
+}
+
+TEST(TestbedGuards, SpawnStartStartsOnlyTheVmsThatExistAtTheCall)
+{
+    Testbed::Config cfg;
+    cfg.numCores = 4;
+    cfg.mode = RunMode::SharedCore;
+    Testbed bed(cfg);
+    bed.createVm("early", 1);
+    bed.spawnStart();
+    VmInstance& late = bed.createVm("late", 1);
+    bed.run(bed.sim().now()); // the start process runs
+    EXPECT_TRUE(bed.started().isOpen());
+    late.kvm->start(); // a VM added after spawnStart() is ours to start
+    const auto threads = [&bed](const std::string& name) {
+        int n = 0;
+        for (const auto& p : bed.sim().processes())
+            n += p->name() == name ? 1 : 0;
+        return n;
+    };
+    EXPECT_EQ(threads("early/vcpu0-thread"), 1);
+    EXPECT_EQ(threads("late/vcpu0-thread"), 1);
 }
