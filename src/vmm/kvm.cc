@@ -100,7 +100,7 @@ LocalSmcTransport::call(std::function<rmm::RmiStatus()> op)
 
 /** Guest-run strategy for shared-core CVMs: consume vCPU-thread CPU. */
 static Proc<ExitInfo>
-threadGuestRun(host::Kernel& k, rmm::GuestContext& g)
+sharedCvmGuestRun(host::Kernel& k, rmm::GuestContext& g)
 {
     auto& v = dynamic_cast<VCpu&>(g);
     co_await k.runGuest(v);
@@ -122,7 +122,7 @@ LocalSmcTransport::run(KvmVm& vm, int vcpu, rmm::RecEnterArgs args)
     host::Kernel& k = vm.kernel();
     rmm::GuestRunFn run_fn = [&k](rmm::GuestContext& g,
                                   sim::CoreId) -> Proc<ExitInfo> {
-        return threadGuestRun(k, g);
+        return sharedCvmGuestRun(k, g);
     };
     // SMC into the RMM (the world switch + mitigation flush is
     // charged by the kernel when the guest goes on/off the core).
