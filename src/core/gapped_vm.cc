@@ -68,8 +68,6 @@ GappedVm::GappedVm(vmm::KvmVm& kvm, ExitDoorbell& doorbell,
 GappedVm::~GappedVm()
 {
     kvm_.kernel().machine().sim().queue().cancel(watchdogEvent_);
-    stopMonitors_ = true;
-    monitorWork_.notifyAll();
     if (doorbellSub_ != 0)
         doorbell_.unsubscribe(doorbellTarget_, doorbellSub_);
     killHostThreads();
@@ -123,13 +121,66 @@ GappedVm::releaseCores(CorePlanner* planner,
         planner->release(back);
 }
 
-void
-GappedVm::releasePlannerReservations()
+const char*
+GappedVm::destinationRefusal(const std::vector<sim::CoreId>& dest,
+                             const CorePlanner* planner) const
 {
-    if (!cfg_.planner || plannerReleased_)
-        return;
-    plannerReleased_ = true;
-    releaseCores(cfg_.planner, cfg_.guestCores);
+    host::Kernel& kernel = kvm_.kernel();
+    for (sim::CoreId c : dest) {
+        if (c < 0 || c >= kernel.machine().numCores())
+            return "destination core out of range";
+        if (std::find(cfg_.guestCores.begin(), cfg_.guestCores.end(),
+                      c) != cfg_.guestCores.end())
+            return "destination overlaps current pool";
+        if (planner && (planner->isReserved(c) ||
+                        planner->hostReserved().test(c)))
+            return "destination core not free";
+        if (!kernel.isOnline(c))
+            return "destination core offline";
+    }
+    return nullptr;
+}
+
+// ------------------------------------------------------------ lifecycle
+
+using Lifecycle = GappedVm::Lifecycle;
+
+std::optional<Lifecycle>
+GappedVm::next(Op op, Lifecycle s)
+{
+    using L = Lifecycle;
+    // DESIGN.md section 12. A transitional state (column -1) refuses
+    // every entry point.
+    static constexpr int column[] = {0, -1, 1, 2, -1, -1, 3};
+    static constexpr std::optional<L> table[][4] = {
+        //            Created      Running       Suspended    Stopped
+        /* Start   */ {L::Starting, {},           {},          {}},
+        /* Suspend */ {{},          L::Suspended, {},          {}},
+        /* Resume  */ {{},          {},           L::Running,  {}},
+        /* Move    */ {{},          L::Migrating, {},          {}},
+        /* Stop    */ {L::Stopped,  L::Stopping,  L::Stopping, {}},
+    };
+    const int col = column[static_cast<int>(s)];
+    return col < 0 ? std::nullopt : table[static_cast<int>(op)][col];
+}
+
+sim::Proc<std::optional<Lifecycle>>
+GappedVm::settle(Op op)
+{
+    while (transitional(state_))
+        co_await settled_.wait();
+    co_return next(op, state_);
+}
+
+void
+GappedVm::enter(Lifecycle s)
+{
+    const bool settling = transitional(state_);
+    state_ = s;
+    if (s == Lifecycle::Stopped)
+        releaseCores(cfg_.planner, cfg_.guestCores);
+    if (settling)
+        settled_.notifyAll();
 }
 
 sim::Proc<bool>
@@ -234,10 +285,24 @@ GappedVm::unparkAll()
 }
 
 sim::Proc<bool>
+GappedVm::parkAll(Tick deadline)
+{
+    requestParkAll();
+    for (int i = 0; i < kvm_.guestVm().numVcpus(); ++i) {
+        if (!co_await kvm_.awaitPark(i, deadline)) {
+            unparkAll();
+            co_return false;
+        }
+    }
+    co_return true;
+}
+
+sim::Proc<bool>
 GappedVm::start()
 {
-    CG_ASSERT(!started_, "GappedVm started twice");
-    started_ = true;
+    const std::optional<Lifecycle> to = co_await settle(Op::Start);
+    CG_ASSERT(to, "GappedVm started twice");
+    enter(*to);
     host::Kernel& kernel = kvm_.kernel();
     hw::Machine& machine = kernel.machine();
 
@@ -264,8 +329,7 @@ GappedVm::start()
                              nullptr);
             co_await returnCore(core);
         }
-        releasePlannerReservations();
-        started_ = false;
+        enter(Lifecycle::Stopped);
         co_return false;
     }
     for (int i = 0; i < kvm_.guestVm().numVcpus(); ++i)
@@ -284,19 +348,32 @@ GappedVm::start()
         wakeupThreadBody(), host::SchedClass::Fifo, cfg_.hostCores);
     wakeupThread_->footprint = 32;
     kvm_.start();
+    enter(Lifecycle::Running);
     co_return true;
 }
 
 sim::Proc<void>
 GappedVm::teardown()
 {
-    host::Kernel& kernel = kvm_.kernel();
-    hw::Machine& machine = kernel.machine();
+    const std::optional<Lifecycle> to = co_await settle(Op::Stop);
+    if (to)
+        enter(*to);
+    if (to == Lifecycle::Stopping)
+        co_await reclaimCores();
+}
+
+sim::Proc<void>
+GappedVm::reclaimCores()
+{
+    hw::Machine& machine = kvm_.kernel().machine();
     const sim::DomainId guest_domain = kvm_.guestVm().domain();
     // Destroy RECs: this is what releases the dedicated-core binding.
     for (int i = 0; i < kvm_.guestVm().numVcpus(); ++i)
         rmm_.recDestroy(realm_, i);
-    stopMonitors_ = true;
+    // Retire every monitor loop. Not on entry to Stopping: terminate()
+    // needs them to serve the exits of the vCPUs it parks.
+    for (std::uint64_t& gen : monGen_)
+        ++gen;
     monitorWork_.notifyAll();
     // Reclaim the cores: the monitor scrubs the guest's (and its own)
     // microarchitectural residue before normal world ever runs here
@@ -308,13 +385,17 @@ GappedVm::teardown()
         co_await returnCore(core);
     }
     rmm_.realmDestroy(realm_);
-    releasePlannerReservations();
+    enter(Lifecycle::Stopped);
 }
 
 sim::Proc<void>
 GappedVm::terminate()
 {
-    CG_ASSERT(started_, "terminate before start");
+    const std::optional<Lifecycle> to = co_await settle(Op::Stop);
+    if (to)
+        enter(*to);
+    if (to != Lifecycle::Stopping)
+        co_return;
     hw::Machine& machine = kvm_.kernel().machine();
     const int n = kvm_.guestVm().numVcpus();
     // Force every live vCPU out of guest execution and park its run
@@ -351,7 +432,7 @@ GappedVm::terminate()
     }
     // The host kills the VMM's threads outright.
     killHostThreads();
-    co_await teardown();
+    co_await reclaimCores();
     kvm_.shutdownGate().open();
 }
 
@@ -382,7 +463,7 @@ GappedVm::monitorCoreLoop(int idx, sim::CoreId core, std::uint64_t gen)
 
     Tick last_exit = 0;
     const auto retired = [this, idx, gen] {
-        return stopMonitors_ || monGen_[static_cast<size_t>(idx)] != gen;
+        return monGen_[static_cast<size_t>(idx)] != gen;
     };
     for (;;) {
         while (!slot.posted() && !syncRpc_.pending()) {
@@ -549,26 +630,24 @@ GappedVm::run(vmm::KvmVm&, int idx, rmm::RecEnterArgs args)
 sim::Proc<bool>
 GappedVm::suspend(Tick deadline)
 {
-    CG_ASSERT(started_ && !suspended_, "bad suspend");
-    suspended_ = true;
-    requestParkAll();
-    for (int i = 0; i < kvm_.guestVm().numVcpus(); ++i) {
-        if (!co_await kvm_.awaitPark(i, deadline)) {
-            // Roll the parks back: the VM keeps running; the caller
-            // escalates (terminate() reclaims hung monitors by force).
-            suspended_ = false;
-            unparkAll();
-            co_return false;
-        }
-    }
-    co_return true;
+    const std::optional<Lifecycle> to = co_await settle(Op::Suspend);
+    if (!to)
+        co_return false;
+    enter(*to);
+    if (co_await parkAll(deadline))
+        co_return true;
+    // Rolled back: the VM runs on (unless a terminate() took over).
+    if (state_ == Lifecycle::Suspended)
+        enter(Lifecycle::Running);
+    co_return false;
 }
 
 void
 GappedVm::resume()
 {
-    CG_ASSERT(suspended_, "resume without suspend");
-    suspended_ = false;
+    const std::optional<Lifecycle> to = next(Op::Resume, state_);
+    CG_ASSERT(to, "resume without suspend");
+    enter(*to);
     unparkAll();
 }
 
@@ -586,10 +665,17 @@ GappedVm::mapDirectIrq(hw::IntId spi, hw::IntId virq, int vcpu_idx)
 sim::Proc<bool>
 GappedVm::rebindVcpu(int idx, sim::CoreId new_core)
 {
-    CG_ASSERT(started_, "rebind before start");
-    CG_ASSERT(!suspended_, "rebind while suspended is not supported");
     CG_ASSERT(idx >= 0 && idx < kvm_.guestVm().numVcpus(),
               "bad vCPU index %d", idx);
+    const std::optional<Lifecycle> to = co_await settle(Op::Move);
+    const char* why = to ? destinationRefusal({new_core}, cfg_.planner)
+                         : "VM is not running";
+    if (why) {
+        sim::warn("%s/vcpu%d: rebind to core %d refused: %s",
+                  kvm_.guestVm().name().c_str(), idx, new_core, why);
+        co_return false;
+    }
+    enter(*to);
     hw::Machine& machine = kvm_.kernel().machine();
     const sim::CoreId old_core = coreOf(idx);
 
@@ -646,12 +732,12 @@ GappedVm::rebindVcpu(int idx, sim::CoreId new_core)
     }
     spawnMonitor(idx);
     kvm_.unpark(idx);
-    if (!ok)
-        co_return false;
 
     // 6. Hand the old core back to the host.
-    co_await returnCore(old_core);
-    co_return true;
+    if (ok)
+        co_await returnCore(old_core);
+    enter(Lifecycle::Running);
+    co_return ok;
 }
 
 } // namespace cg::core

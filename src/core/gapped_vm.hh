@@ -18,6 +18,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/doorbell.hh"
@@ -75,20 +76,34 @@ class GappedVm : public vmm::RmiTransport
     /** @} */
 
     /**
+     * The runner's lifecycle (DESIGN.md section 12). Starting,
+     * Migrating (a migration or a rebind in flight) and Stopping are
+     * transitional: an entry point called in one waits until it
+     * settles, then follows the transition table. Stopped is final.
+     */
+    enum class Lifecycle {
+        Created, Starting, Running, Suspended, Migrating, Stopping, Stopped
+    };
+
+    /**
      * Bring the CVM up: offline the dedicated cores (hotplug), hand
      * them to the monitor, and start the host-side threads (the
      * wake-up thread, then KvmVm's vCPU threads). Await from
      * a process not running on the dedicated cores.
+     * Created -> Starting -> Running; any other state is a
+     * programming error (asserts).
      * @return false if a dedicated core could not be offlined (after
      * one retry): every core taken so far is handed back, planner
-     * reservations are released, and the VM is not running.
+     * reservations are released, and the VM ends Stopped.
      */
     sim::Proc<bool> start();
 
     /**
      * After guest shutdown: destroy RECs (releasing the core binding),
      * scrub the dedicated cores of guest residue, stop monitor loops,
-     * and hotplug the cores back online.
+     * and hotplug the cores back online. Running or Suspended ->
+     * Stopping -> Stopped; Created -> Stopped (only the planner
+     * reservations are released); a no-op once Stopped.
      */
     sim::Proc<void> teardown();
 
@@ -97,7 +112,7 @@ class GappedVm : public vmm::RmiTransport
      * "terminated by the host" case of section 4.2): force every vCPU
      * out of guest execution, stop its run loop, then tear down. The
      * guest gets no say; its state is scrubbed before the cores return
-     * to the host.
+     * to the host. Same transitions as teardown().
      */
     sim::Proc<void> terminate();
 
@@ -110,8 +125,11 @@ class GappedVm : public vmm::RmiTransport
      * thread after its next exit, retire the old monitor loop,
      * dedicate @p new_core via hotplug, have the monitor rebind (and
      * scrub the old core), then resume on the new placement and hand
-     * the old core back to the host.
-     * @return false if the monitor refused the rebind.
+     * the old core back to the host. Running -> Migrating -> Running.
+     * @return false, with nothing touched, in any other settled state
+     * or when @p new_core is out of range, in this VM's pool, reserved
+     * by its planner or offline; false after rollback if hotplug or
+     * the monitor refused the rebind.
      */
     sim::Proc<bool> rebindVcpu(int idx, sim::CoreId new_core);
 
@@ -151,13 +169,16 @@ class GappedVm : public vmm::RmiTransport
      * The migration controller suspends this way, since it must never
      * wedge on a fault. With 0 the wait is unbounded and schedules no
      * timer; it always returns true.
+     *
+     * Running -> Suspended; false in any other settled state.
      */
     sim::Proc<bool> suspend(sim::Tick deadline = 0);
 
-    /** Resume a suspended VM: run loops repost their run calls. */
+    /** Resume a suspended VM: run loops repost their run calls.
+     * Suspended -> Running; any other state asserts. */
     void resume();
 
-    bool suspended() const { return suspended_; }
+    bool suspended() const { return state_ == Lifecycle::Suspended; }
 
     const GappedVmConfig& config() const { return cfg_; }
 
@@ -206,6 +227,35 @@ class GappedVm : public vmm::RmiTransport
                                     std::uint64_t gen);
     sim::Proc<void> wakeupThreadBody();
 
+    /** @{ The lifecycle state machine. */
+    /** The transition table's rows. Move is rebindVcpu() and
+     * migrateTo(); Stop is teardown() and terminate(). */
+    enum class Op { Start, Suspend, Resume, Move, Stop };
+    /** The state @p op moves a VM in @p s to; nullopt = refused. */
+    static std::optional<Lifecycle> next(Op op, Lifecycle s);
+    static bool
+    transitional(Lifecycle s)
+    {
+        return s == Lifecycle::Starting || s == Lifecycle::Migrating ||
+               s == Lifecycle::Stopping;
+    }
+    /** Wait out a transitional state, then next(@p op, settled). */
+    sim::Proc<std::optional<Lifecycle>> settle(Op op);
+    /** Move to @p s. Entering Stopped (final, so once) releases the
+     * planner reservations; leaving a transitional state wakes every
+     * settle(). */
+    void enter(Lifecycle s);
+    /** Stopping -> Stopped: destroy the RECs, retire the monitor
+     * loops, scrub and return the cores, destroy the realm. */
+    sim::Proc<void> reclaimCores();
+    /** @} */
+
+    /** Why @p dest cannot take this VM's vCPUs, or nullptr when every
+     * core is in range, outside the VM's own pool, not reserved by
+     * @p planner (if any) and online. Touches nothing. */
+    const char* destinationRefusal(const std::vector<sim::CoreId>& dest,
+                                   const CorePlanner* planner) const;
+
     /** @{ The dedicated-core lifecycle (section 4.2), shared by
      * start/teardown/terminate/suspend/rebind and migration. */
     /** Hotplug @p core out (one retry) and hand it to the monitor in
@@ -225,13 +275,14 @@ class GappedVm : public vmm::RmiTransport
     /** KvmVm's park gate, for every vCPU. */
     void requestParkAll();
     void unparkAll();
+    /** Park every vCPU run loop, each wait bounded by @p deadline when
+     * nonzero; on a miss every park is rolled back and false
+     * returned. */
+    sim::Proc<bool> parkAll(sim::Tick deadline);
     /** Release @p cores to @p planner (if any), minus lost cores. */
     void releaseCores(CorePlanner* planner,
                       const std::vector<sim::CoreId>& cores) const;
     /** @} */
-
-    /** Release planner reservations exactly once (lost cores stay). */
-    void releasePlannerReservations();
 
     bool isLostCore(sim::CoreId c) const;
 
@@ -248,9 +299,12 @@ class GappedVm : public vmm::RmiTransport
     bool doorbellPending_ = false;
     std::uint64_t doorbellSub_ = 0;
     std::vector<sim::Process*> monitorProcs_;
+    /** A monitor loop retires once its vCPU's generation moves on:
+     * on a rebind, a migration's core switch, or reclaimCores(). */
     std::vector<std::uint64_t> monGen_;
-    bool stopMonitors_ = false;
-    bool started_ = false;
+    Lifecycle state_ = Lifecycle::Created;
+    /** Fired on every transition out of a transitional state. */
+    sim::Notify settled_;
     sim::CoreId doorbellTarget_ = 0;
     sim::LatencyStat runToRun_;
     sim::LatencyStat runCallRtt_;
@@ -263,14 +317,12 @@ class GappedVm : public vmm::RmiTransport
     std::map<hw::IntId, std::pair<int, hw::IntId>> directIrqs_;
     sim::Counter directInjections_;
     sim::StatGroup statGroup_;
-    bool suspended_ = false;
     /** A hung monitor loop blocks here forever (fault injection). */
     sim::Notify hangNotify_;
     /** Armed watchdog timer of the wake-up thread (see destructor). */
     sim::EventId watchdogEvent_ = sim::invalidEventId;
     /** A rering went out; the next delivery confirms the recovery. */
     bool reringOutstanding_ = false;
-    bool plannerReleased_ = false;
     std::vector<sim::CoreId> lostCores_;
     sim::Counter hangReclaims_;
     sim::Counter coresLost_;

@@ -106,7 +106,7 @@ MigrationController::rollbackAttempt(
         for (int i = 0; i < vm_.kvm_.guestVm().numVcpus(); ++i)
             vm_.spawnMonitor(i);
     }
-    vm_.resume();
+    vm_.unparkAll();
 }
 
 sim::Proc<bool>
@@ -130,7 +130,7 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
 
     // 1. Pause the realm (bounded): a hung monitor refuses the whole
     //    migration rather than wedging it.
-    if (!co_await vm_.suspend(GappedVm::parkDeadline)) {
+    if (!co_await vm_.parkAll(GappedVm::parkDeadline)) {
         sim::warn("%s: migration refused: a monitor never parked its "
                   "vCPU (hung?)", name.c_str());
         refused_out = true;
@@ -297,14 +297,13 @@ MigrationController::attempt(const std::vector<CoreId>& dest,
                   rmm::rmiStatusName(us));
     }
 
-    vm_.resume();
+    vm_.unparkAll();
     co_return true;
 }
 
 sim::Proc<MigrateResult>
 MigrationController::migrateTo(std::vector<CoreId> dest)
 {
-    CG_ASSERT(vm_.started_, "migrate before start");
     hw::Machine& machine = vm_.kvm_.kernel().machine();
     const std::string& name = vm_.kvm_.guestVm().name();
     const int n = vm_.kvm_.guestVm().numVcpus();
@@ -314,26 +313,18 @@ MigrationController::migrateTo(std::vector<CoreId> dest)
         refused_.inc();
         return MigrateResult::Refused;
     };
-    if (vm_.suspended_)
-        co_return refuse("VM is suspended");
+    // Checked before the VM enters Migrating, so a refusal touches
+    // nothing.
+    const auto to = co_await vm_.settle(GappedVm::Op::Move);
+    if (!to)
+        co_return refuse("VM is not running");
     if (static_cast<int>(dest.size()) != n)
         co_return refuse("destination pool size != vCPU count");
-    for (CoreId c : dest) {
-        if (c < 0 || c >= machine.numCores())
-            co_return refuse("destination core out of range");
-        if (std::find(vm_.cfg_.guestCores.begin(),
-                      vm_.cfg_.guestCores.end(),
-                      c) != vm_.cfg_.guestCores.end())
-            co_return refuse("destination overlaps current pool");
-    }
-    if (planner_) {
-        for (CoreId c : dest) {
-            if (planner_->isReserved(c) ||
-                planner_->hostReserved().test(c))
-                co_return refuse("destination core not free");
-        }
+    if (const char* why = vm_.destinationRefusal(dest, planner_))
+        co_return refuse(why);
+    if (planner_)
         planner_->reserveExact(dest);
-    }
+    vm_.enter(*to);
 
     const std::vector<CoreId> src = vm_.cfg_.guestCores;
 
@@ -351,11 +342,13 @@ MigrationController::migrateTo(std::vector<CoreId> dest)
             }
             committed_.inc();
             vm_.releaseCores(planner_, src);
+            vm_.enter(GappedVm::Lifecycle::Running);
             co_return MigrateResult::Committed;
         }
         if (att_refused) {
             vm_.releaseCores(planner_, dest);
             refused_.inc();
+            vm_.enter(GappedVm::Lifecycle::Running);
             co_return MigrateResult::Refused;
         }
         if (a + 1 < cfg_.maxAttempts) {
@@ -368,6 +361,7 @@ MigrationController::migrateTo(std::vector<CoreId> dest)
               cfg_.maxAttempts);
     vm_.releaseCores(planner_, dest);
     rolledBack_.inc();
+    vm_.enter(GappedVm::Lifecycle::Running);
     co_return MigrateResult::RolledBack;
 }
 
