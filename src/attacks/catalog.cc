@@ -20,13 +20,6 @@ scopeName(Scope s)
     return "?";
 }
 
-const char*
-kindName(Kind k)
-{
-    return k == Kind::TransientExecution ? "transient-execution"
-                                         : "architectural-bug";
-}
-
 const std::vector<Vulnerability>&
 vulnerabilityCatalog()
 {

@@ -32,7 +32,6 @@ enum class Kind {
 };
 
 const char* scopeName(Scope s);
-const char* kindName(Kind k);
 
 struct Vulnerability {
     std::string name;

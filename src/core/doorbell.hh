@@ -51,9 +51,7 @@ class ExitDoorbell
      */
     void rering(sim::CoreId core);
 
-    int ipiNumber() const { return ipi_; }
     std::uint64_t rings() const { return rings_.value(); }
-    std::uint64_t lostRings() const { return lostRings_.value(); }
     std::uint64_t rerings() const { return rerings_.value(); }
 
     /** Register the doorbell's counters under "doorbell." in @p reg. */

@@ -18,6 +18,10 @@ namespace {
 /** Any SGI works as a kick: the monitor exits the REC on all of them. */
 constexpr hw::IntId kickSgi = 15;
 
+/** Each Lifecycle's column in GappedVm::next()'s table; -1 marks the
+ * transitional states, which refuse every entry point. */
+constexpr int lifecycleColumn[] = {0, -1, 1, 2, -1, -1, 3};
+
 } // namespace
 
 GappedVm::GappedVm(vmm::KvmVm& kvm, ExitDoorbell& doorbell,
@@ -143,15 +147,11 @@ GappedVm::destinationRefusal(const std::vector<sim::CoreId>& dest,
 
 // ------------------------------------------------------------ lifecycle
 
-using Lifecycle = GappedVm::Lifecycle;
-
-std::optional<Lifecycle>
+std::optional<GappedVm::Lifecycle>
 GappedVm::next(Op op, Lifecycle s)
 {
     using L = Lifecycle;
-    // DESIGN.md section 12. A transitional state (column -1) refuses
-    // every entry point.
-    static constexpr int column[] = {0, -1, 1, 2, -1, -1, 3};
+    // DESIGN.md section 12.
     static constexpr std::optional<L> table[][4] = {
         //            Created      Running       Suspended    Stopped
         /* Start   */ {L::Starting, {},           {},          {}},
@@ -160,14 +160,14 @@ GappedVm::next(Op op, Lifecycle s)
         /* Move    */ {{},          L::Migrating, {},          {}},
         /* Stop    */ {L::Stopped,  L::Stopping,  L::Stopping, {}},
     };
-    const int col = column[static_cast<int>(s)];
+    const int col = lifecycleColumn[static_cast<int>(s)];
     return col < 0 ? std::nullopt : table[static_cast<int>(op)][col];
 }
 
-sim::Proc<std::optional<Lifecycle>>
+sim::Proc<std::optional<GappedVm::Lifecycle>>
 GappedVm::settle(Op op)
 {
-    while (transitional(state_))
+    while (lifecycleColumn[static_cast<int>(state_)] < 0)
         co_await settled_.wait();
     co_return next(op, state_);
 }
@@ -175,12 +175,10 @@ GappedVm::settle(Op op)
 void
 GappedVm::enter(Lifecycle s)
 {
-    const bool settling = transitional(state_);
     state_ = s;
     if (s == Lifecycle::Stopped)
         releaseCores(cfg_.planner, cfg_.guestCores);
-    if (settling)
-        settled_.notifyAll();
+    settled_.notifyAll();
 }
 
 sim::Proc<bool>

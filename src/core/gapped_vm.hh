@@ -75,12 +75,10 @@ class GappedVm : public vmm::RmiTransport
                                      rmm::RecEnterArgs args) override;
     /** @} */
 
-    /**
-     * The runner's lifecycle (DESIGN.md section 12). Starting,
-     * Migrating (a migration or a rebind in flight) and Stopping are
-     * transitional: an entry point called in one waits until it
-     * settles, then follows the transition table. Stopped is final.
-     */
+    /** The runner's lifecycle (DESIGN.md section 12). An entry point
+     * called in a transitional state (Starting, Migrating: a migration
+     * or rebind in flight, Stopping) waits until it settles, then
+     * follows the transition table. Stopped is final. */
     enum class Lifecycle {
         Created, Starting, Running, Suspended, Migrating, Stopping, Stopped
     };
@@ -126,10 +124,10 @@ class GappedVm : public vmm::RmiTransport
      * dedicate @p new_core via hotplug, have the monitor rebind (and
      * scrub the old core), then resume on the new placement and hand
      * the old core back to the host. Running -> Migrating -> Running.
-     * @return false, with nothing touched, in any other settled state
-     * or when @p new_core is out of range, in this VM's pool, reserved
-     * by its planner or offline; false after rollback if hotplug or
-     * the monitor refused the rebind.
+     * @return false untouched in any other settled state or if
+     * @p new_core is out of range, in this VM's pool, planner-reserved
+     * or offline; false after rollback if hotplug or the monitor
+     * refused.
      */
     sim::Proc<bool> rebindVcpu(int idx, sim::CoreId new_core);
 
@@ -233,26 +231,17 @@ class GappedVm : public vmm::RmiTransport
     enum class Op { Start, Suspend, Resume, Move, Stop };
     /** The state @p op moves a VM in @p s to; nullopt = refused. */
     static std::optional<Lifecycle> next(Op op, Lifecycle s);
-    static bool
-    transitional(Lifecycle s)
-    {
-        return s == Lifecycle::Starting || s == Lifecycle::Migrating ||
-               s == Lifecycle::Stopping;
-    }
     /** Wait out a transitional state, then next(@p op, settled). */
     sim::Proc<std::optional<Lifecycle>> settle(Op op);
-    /** Move to @p s. Entering Stopped (final, so once) releases the
-     * planner reservations; leaving a transitional state wakes every
-     * settle(). */
+    /** Move to @p s and wake every settle(). Entering Stopped (final,
+     * so once) releases the planner reservations. */
     void enter(Lifecycle s);
-    /** Stopping -> Stopped: destroy the RECs, retire the monitor
-     * loops, scrub and return the cores, destroy the realm. */
+    /** teardown()'s work: Stopping -> Stopped. */
     sim::Proc<void> reclaimCores();
     /** @} */
 
-    /** Why @p dest cannot take this VM's vCPUs, or nullptr when every
-     * core is in range, outside the VM's own pool, not reserved by
-     * @p planner (if any) and online. Touches nothing. */
+    /** Why @p dest cannot take this VM's vCPUs (nullptr: every core is
+     * in range, not ours, not reserved by @p planner, and online). */
     const char* destinationRefusal(const std::vector<sim::CoreId>& dest,
                                    const CorePlanner* planner) const;
 
@@ -275,9 +264,8 @@ class GappedVm : public vmm::RmiTransport
     /** KvmVm's park gate, for every vCPU. */
     void requestParkAll();
     void unparkAll();
-    /** Park every vCPU run loop, each wait bounded by @p deadline when
-     * nonzero; on a miss every park is rolled back and false
-     * returned. */
+    /** Park every vCPU run loop (each wait bounded by a nonzero
+     * @p deadline); on a miss roll every park back, return false. */
     sim::Proc<bool> parkAll(sim::Tick deadline);
     /** Release @p cores to @p planner (if any), minus lost cores. */
     void releaseCores(CorePlanner* planner,
@@ -299,11 +287,9 @@ class GappedVm : public vmm::RmiTransport
     bool doorbellPending_ = false;
     std::uint64_t doorbellSub_ = 0;
     std::vector<sim::Process*> monitorProcs_;
-    /** A monitor loop retires once its vCPU's generation moves on:
-     * on a rebind, a migration's core switch, or reclaimCores(). */
     std::vector<std::uint64_t> monGen_;
     Lifecycle state_ = Lifecycle::Created;
-    /** Fired on every transition out of a transitional state. */
+    /** Fired on every transition; settle() waits on it. */
     sim::Notify settled_;
     sim::CoreId doorbellTarget_ = 0;
     sim::LatencyStat runToRun_;

@@ -1,7 +1,5 @@
 #include "core/migration.hh"
 
-#include <algorithm>
-
 #include "check/checker.hh"
 #include "core/planner.hh"
 #include "core/scrub.hh"
@@ -14,20 +12,6 @@ using rmm::PhysAddr;
 using rmm::RmiStatus;
 using sim::CoreId;
 using sim::Tick;
-
-const char*
-migrateResultName(MigrateResult r)
-{
-    switch (r) {
-      case MigrateResult::Committed:
-        return "Committed";
-      case MigrateResult::RolledBack:
-        return "RolledBack";
-      case MigrateResult::Refused:
-        return "Refused";
-    }
-    return "?";
-}
 
 MigrationController::MigrationController(GappedVm& vm,
                                          CorePlanner* planner,
@@ -313,8 +297,7 @@ MigrationController::migrateTo(std::vector<CoreId> dest)
         refused_.inc();
         return MigrateResult::Refused;
     };
-    // Checked before the VM enters Migrating, so a refusal touches
-    // nothing.
+    // Every refusal comes before the VM enters Migrating.
     const auto to = co_await vm_.settle(GappedVm::Op::Move);
     if (!to)
         co_return refuse("VM is not running");

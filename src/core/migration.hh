@@ -63,8 +63,6 @@ enum class MigrateResult {
     Refused,    ///< could not start (no plan / hung monitor / state)
 };
 
-const char* migrateResultName(MigrateResult r);
-
 class MigrationController
 {
   public:
@@ -87,7 +85,6 @@ class MigrationController
     std::uint64_t committed() const { return committed_.value(); }
     std::uint64_t rolledBack() const { return rolledBack_.value(); }
     std::uint64_t refused() const { return refused_.value(); }
-    std::uint64_t copyRetries() const { return copyRetries_.value(); }
     /** @} */
 
     /** Register counters under "migrate.<vm>." in @p reg. */

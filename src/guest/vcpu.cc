@@ -170,15 +170,6 @@ VCpu::waitForEvent()
         co_await hostWait_.wait();
 }
 
-Proc<void>
-VCpu::waitForRunnable()
-{
-    while (pendingEvents_.empty() && lrs_.pendingIds().empty() &&
-           !hasRunnableGuestWork()) {
-        co_await hostWait_.wait();
-    }
-}
-
 void
 VCpu::maybeIdle()
 {

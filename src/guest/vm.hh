@@ -27,8 +27,6 @@ struct VmConfig {
     Tick tickPeriod = 4 * sim::msec;
     /** Per-vCPU working set, in cache lines (for warm-up accounting). */
     std::size_t footprint = 768;
-    /** Guest memory size in bytes (drives RTT population). */
-    std::uint64_t memBytes = 16ull << 30;
 };
 
 class Vm

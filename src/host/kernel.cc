@@ -25,14 +25,6 @@ Thread::done() const
     return proc_->done();
 }
 
-void
-Thread::setAffinity(CpuMask m)
-{
-    CG_ASSERT(!m.empty(), "empty affinity for thread '%s'",
-              name().c_str());
-    affinity_ = m;
-}
-
 Kernel::Kernel(hw::Machine& machine)
     : machine_(machine),
       cores_(static_cast<size_t>(machine.numCores()))
@@ -99,19 +91,6 @@ Kernel::threadOf(Process& p)
     CG_ASSERT(p.schedCookie, "process '%s' is not a kernel thread",
               p.name().c_str());
     return *static_cast<Thread*>(p.schedCookie);
-}
-
-Thread*
-Kernel::currentOn(CoreId c)
-{
-    return cores_.at(static_cast<size_t>(c)).current;
-}
-
-std::size_t
-Kernel::queuedOn(CoreId c) const
-{
-    const CoreSched& cs = cores_.at(static_cast<size_t>(c));
-    return cs.fifoQueue.size() + cs.fairQueue.size();
 }
 
 // ------------------------------------------------------------ dispatcher

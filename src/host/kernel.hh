@@ -93,9 +93,6 @@ class Thread
     CoreId lastCore() const { return lastCore_; }
     bool done() const;
 
-    /** Change affinity; a queued thread may migrate at next dispatch. */
-    void setAffinity(CpuMask m);
-
     /**
      * Working-set size in cache lines, used for microarchitectural
      * pollution/warm-up accounting when this thread is dispatched.
@@ -245,12 +242,6 @@ class Kernel : public sim::Dispatcher
 
     /** The thread owning @p p (asserts it is one of ours). */
     Thread& threadOf(sim::Process& p);
-
-    /** Current thread on a core (nullptr if idle). */
-    Thread* currentOn(CoreId c);
-
-    /** Number of runnable threads queued on @p c (excluding current). */
-    std::size_t queuedOn(CoreId c) const;
 
   private:
     friend struct YieldAwaiter;

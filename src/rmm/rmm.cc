@@ -9,22 +9,6 @@ namespace cg::rmm {
 
 using sim::Compute;
 
-const char*
-migrationPhaseName(MigrationPhase p)
-{
-    switch (p) {
-      case MigrationPhase::Idle:
-        return "idle";
-      case MigrationPhase::Prepared:
-        return "prepared";
-      case MigrationPhase::Copying:
-        return "copying";
-      case MigrationPhase::Copied:
-        return "copied";
-    }
-    return "?";
-}
-
 Rmm::Rmm(hw::Machine& machine, RmmConfig cfg)
     : machine_(machine), cfg_(cfg), authority_(0x9a7f01c3b5d2e4f6ULL)
 {}

@@ -59,8 +59,6 @@ enum class RecState { Ready, Running, Stopped, Destroyed };
  */
 enum class MigrationPhase { Idle, Prepared, Copying, Copied };
 
-const char* migrationPhaseName(MigrationPhase p);
-
 struct RealmParams {
     std::string name = "realm";
     std::uint64_t personalization = 0;

@@ -193,9 +193,7 @@ class Process
     /** @{ Used by awaitables; not for component code. */
     void suspendAt(std::coroutine_handle<> h);
     void setWaitingOn(Waitable* w) { waitingOn_ = w; }
-    Waitable* waitingOn() const { return waitingOn_; }
     void setPendingEvent(EventId id) { pendingEvent_ = id; }
-    EventId pendingEvent() const { return pendingEvent_; }
     /** @} */
 
     /** Opaque per-dispatcher slot (e.g. points at the owning Thread). */

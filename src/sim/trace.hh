@@ -69,9 +69,6 @@ class Tracer
     /** Start recording into a ring of @p capacity events. */
     void enable(std::size_t capacity = defaultCapacity);
 
-    /** Stop recording (the ring's contents stay exportable). */
-    void disable() { enabled_ = false; }
-
     std::size_t capacity() const { return ring_.size(); }
     std::size_t size() const { return count_; }
     std::uint64_t dropped() const { return dropped_; }

@@ -25,7 +25,6 @@ Disk::io(std::uint64_t bytes, bool write)
     busyUntil_ = start + transfer;
     const Tick done = start + latency + transfer;
     ++ops_;
-    bytes_ += bytes;
     co_await sim::Delay{done - now};
 }
 

@@ -37,14 +37,12 @@ class Disk
     sim::Proc<void> io(std::uint64_t bytes, bool write);
 
     std::uint64_t opsCompleted() const { return ops_; }
-    std::uint64_t bytesTransferred() const { return bytes_; }
 
   private:
     sim::Simulation& sim_;
     Config cfg_;
     Tick busyUntil_ = 0;
     std::uint64_t ops_ = 0;
-    std::uint64_t bytes_ = 0;
 };
 
 } // namespace cg::vmm

@@ -38,7 +38,6 @@ NetworkFabric::send(Packet pkt)
     const Tick arrive =
         src.txFreeAt + sim_.rng().jittered(cfg_.latency, 0.05);
     sim_.queue().schedule(arrive, [this, pkt] {
-        ++delivered_;
         bytes_ += pkt.bytes;
         Port& dst = ports_[static_cast<size_t>(pkt.dstPort)];
         if (dst.rx)

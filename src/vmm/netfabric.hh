@@ -51,7 +51,6 @@ class NetworkFabric
     /** Transmit; serialises on the source port's link. */
     void send(Packet pkt);
 
-    std::uint64_t packetsDelivered() const { return delivered_; }
     std::uint64_t bytesDelivered() const { return bytes_; }
 
   private:
@@ -63,7 +62,6 @@ class NetworkFabric
     sim::Simulation& sim_;
     Config cfg_;
     std::vector<Port> ports_;
-    std::uint64_t delivered_ = 0;
     std::uint64_t bytes_ = 0;
 };
 

@@ -35,15 +35,6 @@ class GuestNic
         (void)queue;
         return recv(v);
     }
-
-    /** Flush any batched doorbells on @p queue (no-op by default). */
-    virtual sim::Proc<void>
-    flushQueue(guest::VCpu& v, int queue)
-    {
-        (void)v;
-        (void)queue;
-        co_return;
-    }
     /** @} */
 };
 
@@ -95,12 +86,6 @@ class MqGuestNic : public GuestNic
     recvQueue(guest::VCpu& v, int queue) override
     {
         return nic_.guestRecv(v, queue);
-    }
-
-    sim::Proc<void>
-    flushQueue(guest::VCpu& v, int queue) override
-    {
-        return nic_.guestFlush(v, queue);
     }
 
     int numQueues() const override { return nic_.numQueues(); }
