@@ -674,6 +674,8 @@ GappedVm::rebindVcpu(int idx, sim::CoreId new_core)
         co_return false;
     }
     enter(*to);
+    if (cfg_.planner)
+        cfg_.planner->reserveExact({new_core});
     hw::Machine& machine = kvm_.kernel().machine();
     const sim::CoreId old_core = coreOf(idx);
 
@@ -731,9 +733,11 @@ GappedVm::rebindVcpu(int idx, sim::CoreId new_core)
     spawnMonitor(idx);
     kvm_.unpark(idx);
 
-    // 6. Hand the old core back to the host.
+    // 6. Hand the old core back to the host; the planner (if any)
+    //    gets back whichever core the VM no longer holds.
     if (ok)
         co_await returnCore(old_core);
+    releaseCores(cfg_.planner, {ok ? old_core : new_core});
     enter(Lifecycle::Running);
     co_return ok;
 }

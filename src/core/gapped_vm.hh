@@ -48,9 +48,10 @@ struct GappedVmConfig {
     sim::Tick wakeSpinMax = 0;
     /**
      * The planner that reserved guestCores, if any. The runner then
-     * owns the reservations' release: exactly once, on teardown or on
-     * a failed start, with cores lost to hotplug failures quarantined
-     * (kept reserved) so they are never handed out again (I7).
+     * owns the reservations' release: exactly once, on entering
+     * Stopped, with cores lost to hotplug failures quarantined (kept
+     * reserved) so they are never handed out again (I7). A rebind
+     * moves the reservation to the new core.
      */
     CorePlanner* planner = nullptr;
 };

@@ -16,7 +16,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "core/migration.hh"
@@ -443,6 +442,42 @@ rebindToAnotherTenantsCoreIsRefused()
     return true;
 }
 
+bool
+rebindKeepsThePlannerInStep()
+{
+    Testbed bed(Rig::config());
+    CorePlanner planner(bed.machine(), host::CpuMask::firstN(1));
+    const auto cores = planner.reserve(2);
+    REQUIRE(cores && (*cores)[0] == 1 && (*cores)[1] == 2);
+    VmInstance& vm = bed.createVmOn("l", *cores,
+                                    host::CpuMask::single(0), 2,
+                                    guest::VmConfig{}, &planner);
+    for (int i = 0; i < 2; ++i)
+        vm.vcpu(i).startGuest(
+            "w", computeAndShutdown(vm.vcpu(i), 200 * msec));
+    bed.spawnStart();
+    bed.run(bed.sim().now() + 50 * msec);
+    // Core 4 is online but held by the planner for someone else.
+    planner.reserveExact({4});
+    MigrationController ctrl(*vm.gapped, nullptr);
+    std::vector<Action> acts{{Call::Rebind, 0, {4}},
+                             {Call::Rebind, 0, {3}}};
+    bed.sim().spawn("act", performAll(*vm.gapped, ctrl, acts));
+    bed.run(bed.sim().now() + 5 * sim::sec);
+    REQUIRE(acts[0].result == 0 && acts[1].result == 1);
+    REQUIRE(vm.gapped->coreOf(0) == 3);
+    REQUIRE(bed.allShutdown());
+    // The reservation moved with vCPU 0: 3 and 2 are held, 1 is free.
+    REQUIRE(planner.isReserved(3) && planner.isReserved(2));
+    REQUIRE(!planner.isReserved(1));
+    std::vector<Action> stop{{Call::Teardown}};
+    bed.sim().spawn("stop", performAll(*vm.gapped, ctrl, stop));
+    bed.run(bed.sim().now() + 100 * msec);
+    REQUIRE(stop[0].result == 1);
+    REQUIRE(planner.reservedCores() == 1); // core 4, still held
+    return true;
+}
+
 } // namespace
 
 #define LIFECYCLE_CASE(name, body)                                    \
@@ -468,3 +503,4 @@ LIFECYCLE_CASE(TeardownAfterFailedStartIsANoOp,
 LIFECYCLE_CASE(RebindToOwnCoreIsRefused, rebindToOwnCoreIsRefused)
 LIFECYCLE_CASE(RebindToAnotherTenantsCoreIsRefused,
                rebindToAnotherTenantsCoreIsRefused)
+LIFECYCLE_CASE(RebindKeepsThePlannerInStep, rebindKeepsThePlannerInStep)
