@@ -8,7 +8,11 @@
 #              absorbed cg-lint rules: stat registration, tracepoint
 #              catalog, hot-path containers, stat-handle caching,
 #              include guards. Any non-baselined finding fails CI.
-#   2. tier-1: configure + build the primary tree and run every test
+#   2. tier-1: configure + build the primary tree and run every test,
+#              including the golden-output gate: the bench_golden_*
+#              ctests compare ext_rebind, ext_fault_recovery and
+#              ext_soak_churn --quick stdout/stderr byte for byte with
+#              bench/golden/
 #   3. chaos:  re-run the fault-injection suites by name (unit fault
 #              plans, full-testbed chaos runs, and the bench smokes
 #              that drive fig7 / ext_fault_recovery under a plan) —
@@ -67,6 +71,9 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 echo "==> [3/8] chaos gate (fault injection + recovery)"
 ctest --test-dir build --output-on-failure -R '[Cc]haos|FaultPlan'
+echo "  --> lifecycle order + golden outputs (redundant with step 2,"
+echo "      named so a lifecycle regression is visible in CI output)"
+ctest --test-dir build --output-on-failure -R 'Lifecycle|bench_golden'
 echo "  --> serving-path open-loop smoke (redundant with step 2, but"
 echo "      named so a serving-path regression is visible in CI output)"
 ctest --test-dir build --output-on-failure -R 'bench_openloop'

@@ -165,9 +165,9 @@ class GappedVm : public vmm::RmiTransport
      * run loop fails to park in time (a hung monitor never publishes
      * the exit), every park is rolled back and false is returned —
      * the VM keeps running and the caller escalates (terminate()).
-     * The migration controller suspends this way, since it must never
-     * wedge on a fault. With 0 the wait is unbounded and schedules no
-     * timer; it always returns true.
+     * The migration controller parks this way (parkAll), since it
+     * must never wedge on a fault. With 0 the wait is unbounded and
+     * schedules no timer.
      *
      * Running -> Suspended; false in any other settled state.
      */
