@@ -81,6 +81,31 @@ eventQueueReverseChurn(benchmark::State& state)
 }
 BENCHMARK(eventQueueReverseChurn)->Arg(100000);
 
+/** The host scheduler's KVM_RUN pattern: each step appends a far-future
+ * sentinel to the sorted run, cancels the previous one and runs a near
+ * event through the heap, so the run's front moves only by stale-entry
+ * skips. */
+void
+eventQueueSentinelChurn(benchmark::State& state)
+{
+    for (auto _ : state) {
+        sim::EventQueue q;
+        int sink = 0;
+        sim::EventId sentinel = sim::invalidEventId;
+        for (int i = 0; i < state.range(0); ++i) {
+            const sim::EventId next =
+                q.scheduleIn(3600 * sim::sec, [&sink] { ++sink; });
+            q.cancel(sentinel);
+            sentinel = next;
+            q.scheduleIn(sim::nsec, [&sink] { ++sink; });
+            q.step();
+        }
+        benchmark::DoNotOptimize(sink);
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(eventQueueSentinelChurn)->Arg(100000);
+
 /** The six per-core structure touches CoreUarch::run() performs on
  * every scheduling quantum, alternating domains as context switches
  * do. */

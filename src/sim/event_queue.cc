@@ -143,13 +143,18 @@ EventQueue::dropMin(const Entry* top)
         return;
     }
     ++sortedHead_;
-    // Compact the consumed prefix once it dominates the run.
-    if (sortedHead_ >= 4096 && sortedHead_ * 2 >= sorted_.size()) {
-        sorted_.erase(sorted_.begin(),
-                      sorted_.begin() +
-                          static_cast<std::ptrdiff_t>(sortedHead_));
-        sortedHead_ = 0;
+}
+
+void
+EventQueue::compactRun()
+{
+    std::size_t out = 0;
+    for (std::size_t i = sortedHead_; i < sorted_.size(); ++i) {
+        if (entryLive(sorted_[i]))
+            sorted_[out++] = sorted_[i];
     }
+    sorted_.resize(out);
+    sortedHead_ = 0;
 }
 
 void

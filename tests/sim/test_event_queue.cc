@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 
 using namespace cg::sim;
 
@@ -302,4 +305,160 @@ TEST(EventQueue, DeterministicOrderUnderHeavyChurnWithCancels)
     const auto b = run_once();
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.size(), 160u);
+}
+
+namespace {
+
+/** The host scheduler's KVM_RUN sentinel: far in the future, cancelled
+ * before it is reached, so it leaves the run only as a stale entry. */
+constexpr Tick sentinelDelay = 3600 * sec;
+
+/**
+ * Each step appends a sentinel to the run and cancels the previous one
+ * (@p sentinel), then runs a near event that goes through the heap: the
+ * run's front only ever moves by the stale-entry skip, never by a pop
+ * from the run. Checks the compaction rule's bound after every call.
+ */
+void
+sentinelChurn(EventQueue& q, int steps, EventId& sentinel)
+{
+    int ran = 0;
+    auto bounded = [&q] { return q.stored() <= 2 * q.pending() + 4097; };
+    for (int i = 0; i < steps; ++i) {
+        const EventId next = q.scheduleIn(sentinelDelay, [] {});
+        ASSERT_TRUE(bounded()) << "step " << i << ": " << q.stored();
+        q.cancel(sentinel);
+        sentinel = next;
+        ASSERT_TRUE(bounded()) << "step " << i << ": " << q.stored();
+        q.scheduleIn(1 * nsec, [&ran] { ++ran; });
+        ASSERT_TRUE(bounded()) << "step " << i << ": " << q.stored();
+        ASSERT_TRUE(q.step());
+        ASSERT_TRUE(bounded()) << "step " << i << ": " << q.stored();
+    }
+    EXPECT_EQ(ran, steps);
+}
+
+} // namespace
+
+TEST(EventQueue, SentinelChurnKeepsStorageBoundedByLiveEvents)
+{
+    EventQueue q;
+    EventId sentinel = invalidEventId;
+    sentinelChurn(q, 20000, sentinel);
+    EXPECT_EQ(q.pending(), 1u);
+}
+
+// The same churn behind one live far-future entry at the run's front:
+// the run's head never moves, so dropping only a consumed prefix would
+// leave every cancelled sentinel in place.
+TEST(EventQueue, SentinelChurnBehindLiveFrontKeepsStorageBounded)
+{
+    EventQueue q;
+    bool front_ran = false;
+    q.schedule(3000 * sec, [&front_ran] { front_ran = true; });
+    EventId sentinel = invalidEventId;
+    sentinelChurn(q, 20000, sentinel);
+    EXPECT_FALSE(front_ran);
+    EXPECT_EQ(q.pending(), 2u);
+    q.cancel(sentinel);
+    q.run();
+    EXPECT_TRUE(front_ran);
+    EXPECT_EQ(q.now(), 3000 * sec);
+}
+
+// A seeded random mix of zero-delay, near, random and sentinel-like
+// schedules, cancels, steps and bounded runs, checked against a
+// std::multimap (equal keys keep insertion order, i.e. the queue's
+// (when, seq) order): execution order must match exactly across the
+// run's compactions.
+TEST(EventQueue, RandomScheduleCancelRunMatchesMultimapReference)
+{
+    using Ref = std::multimap<Tick, int>;
+    EventQueue q;
+    Ref ref;
+    std::vector<EventId> ids;
+    std::vector<Ref::iterator> where;
+    std::vector<bool> queued;
+    std::vector<int> order, expected;
+    Rng rng(0x5e47);
+
+    auto pop_expected = [&] {
+        const int label = ref.begin()->second;
+        ref.erase(ref.begin());
+        queued[static_cast<std::size_t>(label)] = false;
+        expected.push_back(label);
+    };
+
+    auto cancel_label = [&](std::size_t k) {
+        EXPECT_EQ(q.cancel(ids[k]), static_cast<bool>(queued[k]));
+        if (queued[k]) {
+            ref.erase(where[k]);
+            queued[k] = false;
+        }
+    };
+
+    std::size_t compactions = 0;
+    int sentinel = -1;
+    for (int op = 0; op < 100000; ++op) {
+        const std::uint64_t r = rng.uniformInt(0, 99);
+        if (r < 45) {
+            Tick delay = 0;
+            const std::uint64_t kind = rng.uniformInt(0, 99);
+            if (kind < 15)
+                delay = 0;
+            else if (kind < 40)
+                delay = rng.uniformInt(1, 1000) * nsec;
+            else if (kind < 50)
+                delay = rng.uniformInt(1, 10000) * usec;
+            else
+                delay = sentinelDelay;
+            const int label = static_cast<int>(ids.size());
+            const std::size_t before = q.stored();
+            ids.push_back(q.scheduleIn(
+                delay, [&order, label] { order.push_back(label); }));
+            // The live sentinel keeps the run from draining, so only a
+            // compaction drops 4096 or more entries on a push.
+            if (q.stored() + 4096 <= before + 1)
+                ++compactions;
+            where.push_back(ref.emplace(q.now() + delay, label));
+            queued.push_back(true);
+            if (delay == sentinelDelay) {
+                // A new sentinel replaces the previous one.
+                if (sentinel >= 0)
+                    cancel_label(static_cast<std::size_t>(sentinel));
+                sentinel = label;
+            }
+        } else if (r < 75) {
+            if (ids.empty())
+                continue;
+            // Cancel one of the 64 newest events, as timeouts are.
+            const std::uint64_t window = std::min<std::size_t>(ids.size(), 64);
+            const std::uint64_t back = rng.uniformInt(0, window - 1);
+            const std::size_t k = ids.size() - 1 - back;
+            if (static_cast<int>(k) != sentinel)
+                cancel_label(k);
+        } else if (r < 95) {
+            // Like the real one, the sentinel is cancelled, not reached.
+            if (!ref.empty() && ref.begin()->second == sentinel)
+                continue;
+            ASSERT_EQ(q.step(), !ref.empty()) << "op " << op;
+            if (!ref.empty())
+                pop_expected();
+        } else {
+            const Tick limit = q.now() + rng.uniformInt(0, 2000) * usec;
+            while (!ref.empty() && ref.begin()->first <= limit)
+                pop_expected();
+            q.run(limit);
+            ASSERT_EQ(q.now(), limit);
+        }
+        ASSERT_EQ(q.pending(), ref.size()) << "op " << op;
+        ASSERT_EQ(order.size(), expected.size()) << "op " << op;
+    }
+    while (!ref.empty())
+        pop_expected();
+    q.run();
+    EXPECT_EQ(order, expected);
+    EXPECT_TRUE(q.empty());
+    // The sequence is long enough to compact the run several times.
+    EXPECT_GE(compactions, 4u);
 }
