@@ -48,6 +48,14 @@ Distribution::sample(double x)
 {
     // The sorted cache needs no invalidation: ensureSorted() compares
     // sizes and merges the new tail on the next query.
+    if (samples_.empty()) {
+        min_ = x;
+        max_ = x;
+    } else {
+        min_ = std::min(min_, x);
+        max_ = std::max(max_, x);
+    }
+    sum_ += x;
     samples_.push_back(x);
 }
 
@@ -56,17 +64,9 @@ Distribution::reset()
 {
     samples_.clear();
     sorted_.clear();
-}
-
-double
-Distribution::mean() const
-{
-    if (samples_.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : samples_)
-        s += x;
-    return s / static_cast<double>(samples_.size());
+    sum_ = 0.0;
+    min_ = 0.0;
+    max_ = 0.0;
 }
 
 const std::vector<double>&
@@ -81,22 +81,6 @@ Distribution::ensureSorted() const
     std::sort(mid, sorted_.end());
     std::inplace_merge(sorted_.begin(), mid, sorted_.end());
     return sorted_;
-}
-
-double
-Distribution::min() const
-{
-    if (samples_.empty())
-        return 0.0;
-    return ensureSorted().front();
-}
-
-double
-Distribution::max() const
-{
-    if (samples_.empty())
-        return 0.0;
-    return ensureSorted().back();
 }
 
 double

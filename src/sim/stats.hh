@@ -79,9 +79,17 @@ class Distribution
     void reset();
 
     std::uint64_t count() const { return samples_.size(); }
-    double mean() const;
-    double min() const;
-    double max() const;
+    /** @{ O(1): running sum, min and max, kept by sample(). */
+    double
+    mean() const
+    {
+        return samples_.empty()
+                   ? 0.0
+                   : sum_ / static_cast<double>(samples_.size());
+    }
+    double min() const { return samples_.empty() ? 0.0 : min_; }
+    double max() const { return samples_.empty() ? 0.0 : max_; }
+    /** @} */
 
     /** p in [0, 100]; linear interpolation between order statistics. */
     double percentile(double p) const;
@@ -92,6 +100,11 @@ class Distribution
 
   private:
     std::vector<double> samples_; ///< insertion order, query-immutable
+    /** Left-to-right sum of samples_, so mean() matches re-summing them
+     * bit for bit. */
+    double sum_ = 0.0;
+    double min_ = 0.0;
+    double max_ = 0.0;
     /** Sorted copy of samples_[0, sorted_.size()); tail merged on
      * demand. Invariant: sorted_.size() <= samples_.size() always. */
     mutable std::vector<double> sorted_;

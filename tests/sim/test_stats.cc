@@ -162,6 +162,46 @@ TEST(Distribution, QueryAfterEverySample)
     EXPECT_DOUBLE_EQ(d.median(), 50.5);
 }
 
+TEST(Distribution, RunningMeanMinMaxMatchRecomputation)
+{
+    // mean()/min()/max() come from running values kept by sample();
+    // they must equal a left-to-right re-sum (bit for bit) and a sorted
+    // reference under any interleaving of samples, queries and reset.
+    Distribution d;
+    std::vector<double> ref;
+    std::uint64_t x = 0x2545f4914f6cdd1dull;
+    for (int i = 0; i < 3000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        // Mixed magnitudes, so the sum's rounding depends on its order.
+        const double v = static_cast<double>(x % 1000003) /
+                         static_cast<double>(1 + x % 977) * 1e-3;
+        d.sample(v);
+        ref.push_back(v);
+        if (i % 5 == 0 || i % 37 == 1) {
+            double sum = 0.0;
+            for (double s : ref)
+                sum += s;
+            const double mean = sum / static_cast<double>(ref.size());
+            EXPECT_EQ(d.mean(), mean) << "after " << ref.size();
+            std::vector<double> sorted = ref;
+            std::sort(sorted.begin(), sorted.end());
+            EXPECT_EQ(d.min(), sorted.front()) << "after " << ref.size();
+            EXPECT_EQ(d.max(), sorted.back()) << "after " << ref.size();
+        }
+        if (i % 97 == 50)
+            (void)d.percentile(50); // fills the sorted cache meanwhile
+        if (i == 1500) {
+            d.reset();
+            ref.clear();
+            EXPECT_EQ(d.mean(), 0.0);
+            EXPECT_EQ(d.min(), 0.0);
+            EXPECT_EQ(d.max(), 0.0);
+        }
+    }
+}
+
 TEST(Distribution, EmptyAndSingle)
 {
     Distribution d;
