@@ -17,7 +17,9 @@
 #              plans, full-testbed chaos runs, and the bench smokes
 #              that drive fig7 / ext_fault_recovery under a plan) —
 #              redundant with step 2 but kept as a separate, fast gate
-#              so fault-injection regressions are named in CI output
+#              so fault-injection regressions are named in CI output;
+#              likewise named re-runs of the lifecycle, event-queue,
+#              golden-output, open-loop and soak suites
 #   4. check:  the isolation-checker gate --
 #                a. fig7 under --check twice; both runs must succeed
 #                   and print byte-identical tables (the checker is
@@ -74,6 +76,10 @@ ctest --test-dir build --output-on-failure -R '[Cc]haos|FaultPlan'
 echo "  --> lifecycle order + golden outputs (redundant with step 2,"
 echo "      named so a lifecycle regression is visible in CI output)"
 ctest --test-dir build --output-on-failure -R 'Lifecycle|bench_golden'
+echo "  --> event queue: ordering and the storage bound on the sorted"
+echo "      run (redundant with step 2, named so a queue regression is"
+echo "      visible in CI output)"
+ctest --test-dir build --output-on-failure -R 'EventQueue'
 echo "  --> serving-path open-loop smoke (redundant with step 2, but"
 echo "      named so a serving-path regression is visible in CI output)"
 ctest --test-dir build --output-on-failure -R 'bench_openloop'
